@@ -208,7 +208,16 @@ def resolve_config(argv) -> RunConfig:
     file_cfg = {}
     if ns.config is not None:
         with open(ns.config) as fh:
-            file_cfg = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+            try:
+                loaded = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise UsageError(f"config file {ns.config} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(
+                f"config file {ns.config} must hold a JSON object, "
+                f"got {type(loaded).__name__}"
+            )
+        file_cfg = {k.replace("-", "_"): v for k, v in loaded.items()}
     params = {}
     for opt in OPTIONS[ns.subcommand]:
         key = opt.name.replace("-", "_")

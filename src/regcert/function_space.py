@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GridMismatchError,
@@ -21,9 +22,8 @@ from .errors import (
 )
 from .seeding import rng_from
 
-# Full O(n^2) pair scans are only run up to this many nodes; larger grids are
-# subsampled (the scan then remains a lower estimate, see holder_norm).
-PAIR_SCAN_CAP = 4097
+# Array elements per lag block of the fractional-exponent pair scan.
+_SCAN_BLOCK = 1 << 17
 
 NOISE_MODELS = ("exact-shift", "alternating", "spike", "smooth", "seeded-uniform")
 
@@ -67,10 +67,6 @@ class SampledFunction:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "SampledFunction":
-        return cls(grid, np.asarray([fn(x) for x in grid.nodes], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -138,33 +134,40 @@ def grid_derivative(u: SampledFunction) -> np.ndarray:
     return d
 
 
-def _pair_quotient(x: np.ndarray, w: np.ndarray, b: float, cap: int = PAIR_SCAN_CAP) -> float:
-    """sup over node pairs of |w_i - w_j| / |x_i - x_j|**b, 0 <= b <= 1.
+def _pair_quotient(dx: float, w: np.ndarray, b: float) -> float:
+    """max over node pairs i < j of |w_j - w_i| / ((j - i) dx)**b, 0 <= b <= 1.
 
-    b = 0 and b = 1 admit exact O(n) reductions (oscillation, and the
-    telescoping bound that puts the maximum on an adjacent pair).  For
-    fractional b the scan is over all pairs, subsampled to ``cap`` nodes on
-    larger grids, which keeps the result a lower estimate.
+    Exact on every grid: no pair is skipped or sampled.  b = 0 and b = 1
+    reduce to O(n) forms (the oscillation, and the largest adjacent
+    difference, where the maximum sits by telescoping).  For fractional b the
+    scan runs over lags k = 1, 2, ...: every pair at lag k shares the
+    denominator (k dx)**b, so one array reduction per block of lags gives
+    each lag's largest difference.  No difference exceeds the oscillation
+    max(w) - min(w), so no pair at lag k or beyond can beat the running best
+    once osc / (k dx)**b <= best, and the scan stops there without changing
+    the result.
     """
-    n = len(x)
+    n = len(w)
     if b == 0.0:
         return float(np.max(w) - np.min(w))
     if b == 1.0:
-        return float(np.max(np.abs(np.diff(w)) / np.diff(x)))
-    if n > cap:
-        idx = np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
-        x = x[idx]
-        w = w[idx]
-        n = len(idx)
+        return float(np.max(np.abs(np.diff(w))) / dx)
+    den = (np.arange(1, n) * dx) ** b
+    ceiling = float(np.max(w) - np.min(w)) / den
+    lags = max(1, min(n - 1, _SCAN_BLOCK // n))
+    # Row r of a block holds w shifted by lag k + r; the NaN tail stands for
+    # the pairs that run off the grid, which fmax skips.
+    padded = np.concatenate((w, np.full(lags - 1, np.nan)))
+    buf = np.empty((lags, n - 1))
     best = 0.0
-    block = 512
-    for i0 in range(0, n - 1, block):
-        i1 = min(i0 + block, n - 1)
-        dw = np.abs(w[np.newaxis, :] - w[i0:i1, np.newaxis])
-        dxp = x[np.newaxis, :] - x[i0:i1, np.newaxis]
-        upper = dxp > 0.0
-        q = np.where(upper, dw / np.where(upper, dxp, 1.0) ** b, 0.0)
-        best = max(best, float(q.max()))
+    k = 1
+    while k < n and ceiling[k - 1] > best:
+        stop = min(k + lags, n)
+        diffs = buf[: stop - k, : n - k]
+        np.subtract(sliding_window_view(padded[k:], n - k)[: stop - k], w[: n - k], out=diffs)
+        np.abs(diffs, out=diffs)
+        best = max(best, float(np.max(np.fmax.reduce(diffs, axis=1) / den[k - 1 : stop - 1])))
+        k = stop
     return best
 
 
@@ -174,17 +177,19 @@ def holder_norm(u: SampledFunction, a: float) -> float:
     For 0 <= a <= 1 this is the sup of |u| plus the largest difference
     quotient with exponent a over node pairs.  For 1 < a <= 2 it is
     sup(|u| + |u'|) plus the largest exponent-(a-1) quotient of the discrete
-    derivative u'.  Both are lower estimates of the continuum norm; they
-    converge from below under grid refinement.
+    derivative u'.  The quotient is taken over every node pair at every grid
+    size (see _pair_quotient), so the value is exact for the grid; as an
+    estimate of the continuum norm it is from below and grows under grid
+    refinement.
     """
     if not 0.0 <= a <= 2.0:
         raise InvalidExponentError(f"exponent must lie in [0, 2], got {a}")
-    x = u.grid.nodes
+    dx = u.grid.dx
     v = u.values
     if a <= 1.0:
-        return _pair_quotient(x, v, a) + float(np.max(np.abs(v)))
+        return _pair_quotient(dx, v, a) + float(np.max(np.abs(v)))
     d = grid_derivative(u)
-    return float(np.max(np.abs(v) + np.abs(d))) + _pair_quotient(x, d, a - 1.0)
+    return float(np.max(np.abs(v) + np.abs(d))) + _pair_quotient(dx, d, a - 1.0)
 
 
 def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> NoisyData:
@@ -240,10 +245,36 @@ def function_csv_text(sf: SampledFunction) -> str:
 
 
 def read_function_csv(path) -> SampledFunction:
-    """Read a ``x,value`` CSV produced by write_function_csv."""
+    """Read a ``x,value`` CSV produced by write_function_csv.
+
+    Every consumer assumes the uniform grid, so the x column must hold the
+    nodes of Grid(rows) to within 1e-12; files written by write_function_csv
+    match them exactly.  A row that is not two numbers, or an x off the grid,
+    raises InvalidGridError.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "x,value":
             raise InvalidGridError(f"expected header 'x,value', got {header!r}")
-        values = [float(line.split(",")[1]) for line in fh if line.strip()]
-    return SampledFunction(Grid(len(values)), np.asarray(values))
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                x, value = map(float, line.split(","))
+            except ValueError:
+                raise InvalidGridError(
+                    f"line {lineno}: expected 'x,value', got {line.strip()!r}"
+                ) from None
+            rows.append((x, value))
+    grid = Grid(len(rows))
+    x, values = np.asarray(rows).T
+    # Written so that a NaN x fails too.
+    off = np.flatnonzero(~(np.abs(x - grid.nodes) <= 1e-12))
+    if off.size:
+        i = int(off[0])
+        raise InvalidGridError(
+            f"x column is not the uniform grid on {grid.n} nodes: "
+            f"row {i + 1} has x={x[i]!r}, expected {float(grid.nodes[i])!r}"
+        )
+    return SampledFunction(grid, values)

@@ -124,25 +124,3 @@ def make_problem(spec: ProblemSpec) -> tuple[np.ndarray, SvdTriple]:
             q2 = _seeded_orthogonal(spec.n, rng)
             a = q1 @ np.diag(d) @ q2.T
     return a, svd(a)
-
-
-def write_matrix_csv(a: np.ndarray, path) -> None:
-    """Row-major CSV with a leading ``# n=<dim>`` comment line."""
-    a = np.asarray(a, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# n={a.shape[0]}\n")
-        for row in a:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# n="):
-            raise InvalidMatrixError(f"expected '# n=<dim>' header, got {header!r}")
-        n = int(header[4:])
-        rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
-    a = np.asarray(rows)
-    if a.shape != (n, n):
-        raise InvalidMatrixError(f"header says n={n} but body has shape {a.shape}")
-    return a

@@ -105,6 +105,38 @@ class TestExitCodes:
                         "--boundary", "central", "--out", str(tmp_path / "x.csv")])
             assert code == 1
 
+    def test_bad_config_file_exit_one(self, tmp_path, caplog):
+        base = ["witness", "--n", "257", "--a", "2", "--m", "1", "--deltas", "1e-3"]
+        for name, text, phrase in (("broken.json", '{"n": 257,', "not valid JSON"),
+                                   ("array.json", "[257]", "must hold a JSON object")):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(UsageError, match=phrase):
+                resolve_config([*base, "--config", str(path)])
+            caplog.clear()
+            assert run([*base, "--config", str(path)]) == 1
+            assert any(phrase in rec.message for rec in caplog.records)
+
+    def test_differentiate_non_uniform_input_exit_one(self, tmp_path, caplog):
+        # The derivative assumes the uniform grid; nodes 0, 0.1, 0.2, 0.9 are
+        # not Grid(4), so the file is refused, not differentiated.
+        path = tmp_path / "noisy.csv"
+        path.write_text("x,value\n0.0,0.0\n0.1,0.01\n0.2,0.04\n0.9,0.81\n")
+        out = tmp_path / "d.csv"
+        code = run(["differentiate", "--a", "2", "--m", "1", "--delta", "1e-3",
+                    "--input", str(path), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert any("not the uniform grid" in rec.message for rec in caplog.records)
+
+    def test_differentiate_malformed_input_exit_one(self, tmp_path, caplog):
+        path = tmp_path / "noisy.csv"
+        path.write_text("x,value\n0.0,0.0\n0.5 0.25\n1.0,1.0\n")
+        code = run(["differentiate", "--a", "2", "--m", "1", "--delta", "1e-3",
+                    "--input", str(path)])
+        assert code == 1
+        assert any("line 3" in rec.message for rec in caplog.records)
+
     def test_readme_certify_diff_example(self, tmp_path):
         # The README's certify-diff example passes every row under the
         # default stencil; the paper stencil fails three of them.  The budget

@@ -20,9 +20,11 @@ from regcert.function_space import (
     NOISE_MODELS,
     _pair_quotient,
     function_csv_text,
+    grid_derivative,
     read_function_csv,
     write_function_csv,
 )
+from regcert.numdiff import _bump_samples
 
 
 def test_grid_nodes_exact_endpoints():
@@ -109,11 +111,11 @@ class TestSupDistance:
 
 
 def _brute_quotient(x, w, b):
-    best = 0.0
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            best = max(best, abs(w[j] - w[i]) / (x[j] - x[i]) ** b)
-    return best
+    # Every pair i < j at once, with no lag order and no early stop.  The
+    # powers are an array operation, as in the scan: numpy's vectorised pow
+    # and its scalar pow may differ in the last bit.
+    i, j = np.triu_indices(len(x), 1)
+    return float(np.max(np.abs(w[j] - w[i]) / (x[j] - x[i]) ** b))
 
 
 class TestHolderNorm:
@@ -133,12 +135,35 @@ class TestHolderNorm:
         assert val == pytest.approx(5.0, rel=0.01)
 
     def test_matches_brute_force_pairs(self, rng):
-        g = Grid(41)
-        u = rng.standard_normal(g.n)
-        for a in (0.0, 0.3, 0.7, 1.0):
-            got = holder_norm(SampledFunction(g, u), a)
-            want = _brute_quotient(g.nodes, u, a) + np.max(np.abs(u))
-            assert got == pytest.approx(want, rel=1e-12)
+        # 1025 nodes take several lag blocks, so there the scan really stops
+        # early on the bump and runs to the last lag on the ramp.
+        for n in (3, 4, 41, 65, 1025):
+            g = Grid(n)
+            x = g.nodes
+            # On n = 2**k + 1 nodes every x_i is an exact multiple of dx, so
+            # the lag denominators (k dx)**b equal (x_j - x_i)**b bitwise.
+            exact = (n - 1) & (n - 2) == 0
+            for a in (0.3, 0.5, 0.7, 1.5):
+                shapes = {
+                    "random": rng.standard_normal(n),
+                    # A ramp in the quotient's argument: the best pair is at
+                    # the largest lag, so the scan never stops early.
+                    "ramp": x.copy() if a <= 1.0 else x**2,
+                    # A narrow bump: the scan stops at a small lag.
+                    "bump": _bump_samples(g, x[n // 2], 4.0 * g.dx),
+                }
+                for name, u in shapes.items():
+                    sf = SampledFunction(g, u)
+                    if a <= 1.0:
+                        want = _brute_quotient(x, u, a) + float(np.max(np.abs(u)))
+                    else:
+                        d = grid_derivative(sf)
+                        want = float(np.max(np.abs(u) + np.abs(d))) + _brute_quotient(x, d, a - 1.0)
+                    got = holder_norm(sf, a)
+                    if exact:
+                        assert got == want, (n, a, name)
+                    else:
+                        assert got == pytest.approx(want, rel=1e-12), (n, a, name)
 
     def test_exponent_range(self):
         g = Grid(11)
@@ -159,15 +184,19 @@ class TestHolderNorm:
                 fine = holder_norm(SampledFunction(Grid(513), fn(Grid(513).nodes)), a)
                 assert coarse <= fine + 1e-12
 
-    def test_subsampled_scan_is_lower_estimate(self, rng):
-        # Above the pair-scan cap the fractional-exponent scan subsamples and
-        # must stay below the full-scan value computed on the same nodes.
-        x = np.linspace(0.0, 1.0, 6001)
-        w = np.sin(3 * np.pi * x) + 0.3 * x
-        got = _pair_quotient(x, w, 0.5, cap=512)
-        idx = np.unique(np.round(np.linspace(0, 6000, 512)).astype(int))
-        want = _brute_quotient(x[idx], w[idx], 0.5)
-        assert got == pytest.approx(want, rel=1e-12)
+    def test_every_pair_scanned_on_large_grids(self):
+        # Grid(4099) lies above the 4097 nodes an earlier scan subsampled
+        # large grids to; that subsample, round(linspace(0, 4098, 4097)),
+        # dropped node 1025.  A lone spike there must still be seen.
+        g = Grid(4099)
+        kept = np.unique(np.round(np.linspace(0, 4098, 4097)).astype(int))
+        assert 1025 not in kept
+        spike = 0.75
+        u = np.zeros(g.n)
+        u[1025] = spike
+        want = spike / g.dx**0.5
+        assert holder_norm(SampledFunction(g, u), 0.5) == want + spike
+        assert _pair_quotient(g.dx, u, 0.5) == want
 
 
 class TestAddNoise:
@@ -226,3 +255,21 @@ def test_csv_round_trip(tmp_path):
     assert back.grid.n == g.n
     assert np.array_equal(back.values, sf.values)
     assert function_csv_text(sf).splitlines()[0] == "x,value"
+
+
+def test_csv_reader_rejects_malformed_and_off_grid_rows(tmp_path):
+    path = tmp_path / "f.csv"
+    for body in (
+        "0.0,1.0\n0.5\n1.0,1.0\n",  # no comma
+        "0.0,1.0\n0.5,1.0,2.0\n1.0,1.0\n",  # three fields
+        "0.0,1.0\n0.5,one\n1.0,1.0\n",  # not a number
+        "0.0,1.0\n0.6,1.0\n1.0,1.0\n",  # off the uniform grid
+        "0.0,1.0\nnan,1.0\n1.0,1.0\n",  # NaN node
+        "0.0,1.0\n1.0,1.0\n",  # too few nodes for a grid
+    ):
+        path.write_text("x,value\n" + body)
+        with pytest.raises(InvalidGridError):
+            read_function_csv(path)
+    # Within 1e-12 of the nodes is accepted.
+    path.write_text("x,value\n0.0,1.0\n0.5000000000001,2.0\n1.0,3.0\n")
+    assert np.array_equal(read_function_csv(path).values, [1.0, 2.0, 3.0])

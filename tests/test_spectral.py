@@ -3,7 +3,7 @@ import pytest
 
 from regcert import ProblemSpec, make_problem, svd
 from regcert.errors import InvalidMatrixError
-from regcert.spectral import read_matrix_csv, volterra_matrix, write_matrix_csv
+from regcert.spectral import volterra_matrix
 
 
 def _check_triple(a, tri):
@@ -98,11 +98,3 @@ class TestGallery:
         with pytest.raises(InvalidMatrixError):
             ProblemSpec("diagonal", 0)
 
-
-def test_matrix_csv_round_trip(tmp_path, rng):
-    a = rng.standard_normal((7, 7))
-    path = tmp_path / "a.csv"
-    write_matrix_csv(a, path)
-    back = read_matrix_csv(path)
-    assert np.array_equal(a, back)
-    assert open(path).readline() == "# n=7\n"
