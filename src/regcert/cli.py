@@ -27,7 +27,6 @@ from .function_space import (
     NoisyData,
     SampledFunction,
     add_noise,
-    function_csv_text,
     holder_norm,
     integrate_volterra,
     read_function_csv,
@@ -36,11 +35,7 @@ from .seeding import rng_from
 
 log = logging.getLogger("regcert")
 
-SUBCOMMANDS = ("differentiate", "certify-diff", "witness", "certify-linear", "varmin", "study")
-
 TRUTHS = ("quadratic", "sin2pi", "trig")
-
-DIFF_CSV_HEADER = "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass"
 
 
 @dataclass
@@ -204,7 +199,7 @@ def resolve_config(argv) -> RunConfig:
     """Merge flags over config-file keys and validate required parameters."""
     ns = _build_parser().parse_args(argv)
     if ns.subcommand is None:
-        raise UsageError(f"missing subcommand; choose one of {SUBCOMMANDS}")
+        raise UsageError(f"missing subcommand; choose one of {tuple(OPTIONS)}")
     file_cfg = {}
     if ns.config is not None:
         with open(ns.config) as fh:
@@ -240,12 +235,22 @@ def resolve_config(argv) -> RunConfig:
     return RunConfig(subcommand=ns.subcommand, params=params, seed=seed, out=out)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _write_csv(header: str, rows, out: Optional[str]) -> None:
+    """Write the header line and one line per row of Python scalars: a bool
+    as true/false, anything else as its repr, so floats round-trip."""
+    lines = [",".join(str(v).lower() if isinstance(v, bool) else repr(v) for v in row)
+             for row in rows]
+    text = "\n".join([header, *lines]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def _exit_code(certs) -> int:
+    """0 when every certificate passes, 2 otherwise."""
+    return 0 if all(c.passed for c in certs) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -290,56 +295,31 @@ def _run_differentiate(cfg: RunConfig) -> int:
         "h=%r noise=%r bias=%r total=%r",
         budget.h, budget.noise_term, budget.bias_term, budget.total,
     )
-    _emit(function_csv_text(deriv), cfg.out)
+    _write_csv("x,value", zip(deriv.grid.nodes.tolist(), deriv.values.tolist()), cfg.out)
     return 0
 
 
 def _run_certify_diff(cfg: RunConfig) -> int:
     p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
-    grid = Grid(p["n"])
-    truth = make_truth(p["truth"], grid, spec, cfg.seed)
-    f = integrate_volterra(truth)
-    rows = [DIFF_CSV_HEADER]
-    all_pass = True
-    for di, delta in enumerate(p["deltas"]):
-        budget = numdiff.error_budget(delta, spec, grid)
-        emp = 0.0
-        for mi, model in enumerate(p["models"]):
-            data = add_noise(f, delta, model, cfg.seed)
-            sub_seed = int(rng_from(cfg.seed, di, mi).integers(0, 2**63))
-            # The synthetic truth is an admissible solution for its own data;
-            # anchoring the sampled pool there keeps the lower bound sound and
-            # nonempty even when the class bound is tight.
-            pool = numdiff.member_candidates(truth, data, spec, p["samples"], seed=sub_seed)
-            emp = max(
-                emp,
-                numdiff.empirical_sup_error(data, spec, p["samples"], seed=sub_seed,
-                                            candidates=pool or None,
-                                            boundary=p["boundary"]),
-            )
-        ok = emp <= budget.total * (1.0 + 1e-9)
-        all_pass = all_pass and ok
-        rows.append(
-            f"{delta!r},{spec.a!r},{spec.m_a!r},{budget.h!r},{budget.noise_term!r},"
-            f"{budget.bias_term!r},{budget.total!r},{emp!r},{str(bool(ok)).lower()}"
-        )
-    _emit("\n".join(rows) + "\n", cfg.out)
-    return 0 if all_pass else 2
+    truth = make_truth(p["truth"], Grid(p["n"]), spec, cfg.seed)
+    certs = numdiff.certify(truth, spec, p["deltas"], p["models"], p["samples"],
+                            cfg.seed, p["boundary"])
+    _write_csv("delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass",
+               [(c.delta, spec.a, spec.m_a, c.budget.h, c.budget.noise_term,
+                 c.budget.bias_term, c.budget.total, c.empirical_lower, c.passed)
+                for c in certs], cfg.out)
+    return _exit_code(certs)
 
 
 def _run_witness(cfg: RunConfig) -> int:
     p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     grid = Grid(p["n"])
-    rows = ["delta,a,M,center,width,amplitude,separation"]
-    for delta in p["deltas"]:
-        pair = numdiff.witness_pair(delta, spec, p["center"], grid)
-        rows.append(
-            f"{delta!r},{spec.a!r},{spec.m_a!r},{p['center']!r},"
-            f"{pair.bump_width!r},{pair.bump_amplitude!r},{pair.separation!r}"
-        )
-    _emit("\n".join(rows) + "\n", cfg.out)
+    pairs = [numdiff.witness_pair(d, spec, p["center"], grid) for d in p["deltas"]]
+    _write_csv("delta,a,M,center,width,amplitude,separation",
+               [(d, spec.a, spec.m_a, p["center"], w.bump_width, w.bump_amplitude, w.separation)
+                for d, w in zip(p["deltas"], pairs)], cfg.out)
     return 0
 
 
@@ -350,8 +330,10 @@ def _run_certify_linear(cfg: RunConfig) -> int:
     certs = linreg.certify(
         problem, source, p["deltas"], p["trials"], seed=cfg.seed, threads=p["threads"]
     )
-    _emit("\n".join(linreg.certificate_csv_rows(certs, source)) + "\n", cfg.out)
-    return 0 if all(c.passed for c in certs) else 2
+    _write_csv("delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass",
+               [(c.delta, c.a_used, source.p, source.k_p, c.J1_cont, c.J2_cont, c.J1_disc,
+                 c.J2_disc, c.rate_bound, c.empirical_lower, c.passed) for c in certs], cfg.out)
+    return _exit_code(certs)
 
 
 def _make_var_problem(p: dict, seed: int) -> varreg.NonlinearProblem:
@@ -371,17 +353,13 @@ def _run_varmin(cfg: RunConfig) -> int:
     p = cfg.params
     problem = _make_var_problem(p, cfg.seed)
     u_true = _seeded_truth_in_ball(p["n"], p["cap"], cfg.seed)
-    rng = rng_from(cfg.seed, 137)
-    e = rng.standard_normal(p["n"])
-    e *= p["delta"] * (1.0 - 1e-12) / max(float(np.linalg.norm(e)), 1e-300)
-    f_delta = problem.forward(u_true) + e
+    noise = varreg.noise_at_radius(rng_from(cfg.seed, 137), p["n"], p["delta"])
+    f_delta = problem.forward(u_true) + noise
     report = varreg.minimize(problem, f_delta, p["delta"], budget=p["budget"], seed=cfg.seed)
-    rows = [
-        "delta,F_value,m_hat,feasible,iterations,restarts",
-        f"{p['delta']!r},{report.F_value!r},{report.m_hat!r},"
-        f"{str(report.feasible).lower()},{report.iterations},{report.restarts}",
-    ]
-    _emit("\n".join(rows) + "\n", cfg.out)
+    # minimize returns only feasible points, and m_hat is F at that point.
+    _write_csv("delta,F_value,m_hat,feasible,iterations,restarts",
+               [(p["delta"], report.F_value, report.F_value, True, report.iterations,
+                 report.restarts)], cfg.out)
     return 0
 
 
@@ -391,7 +369,10 @@ def _run_study(cfg: RunConfig) -> int:
     u_true = _seeded_truth_in_ball(p["n"], p["cap"], cfg.seed)
     deltas = sorted(p["deltas"], reverse=True)
     rows = varreg.convergence_study(problem, u_true, deltas, budget=p["budget"], seed=cfg.seed)
-    _emit("\n".join(varreg.study_csv_rows(rows)) + "\n", cfg.out)
+    # Every row comes from a minimize call, which returns only feasible points.
+    _write_csv("delta,F_value,m_hat_bound_c1delta,error_to_truth,feasible",
+               [(r.delta, r.F_value, r.c1_delta_bound, r.error_to_truth, True) for r in rows],
+               cfg.out)
     return 0
 
 

@@ -101,8 +101,8 @@ class NoisyData:
             raise InvalidModelError(
                 f"unknown noise model {self.model!r}; choose one of {NOISE_MODELS}"
             )
-        if self.delta < 0.0:
-            raise InvalidModelError(f"noise radius must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < np.inf:
+            raise InvalidModelError(f"noise radius must be finite and >= 0, got {self.delta}")
 
 
 def integrate_volterra(u: SampledFunction) -> SampledFunction:
@@ -207,8 +207,8 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
         raise InvalidModelError(
             f"unknown noise model {model!r}; choose one of {NOISE_MODELS}"
         )
-    if delta < 0.0:
-        raise InvalidModelError(f"noise radius must be >= 0, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise InvalidModelError(f"noise radius must be finite and >= 0, got {delta}")
     if delta == 0.0:
         return NoisyData(SampledFunction(f.grid, f.values), 0.0, model, seed)
     n = f.grid.n
@@ -231,25 +231,13 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
     return NoisyData(SampledFunction(f.grid, f.values + e), float(delta), model, seed)
 
 
-def write_function_csv(sf: SampledFunction, path) -> None:
-    """Write one node per row as ``x,value`` with round-trippable precision."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(function_csv_text(sf))
-
-
-def function_csv_text(sf: SampledFunction) -> str:
-    lines = ["x,value"]
-    for x, v in zip(sf.grid.nodes, sf.values):
-        lines.append(f"{float(x)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def read_function_csv(path) -> SampledFunction:
-    """Read a ``x,value`` CSV produced by write_function_csv.
+    """Read a ``x,value`` CSV, one node per row, as ``regcert differentiate``
+    writes it.
 
     Every consumer assumes the uniform grid, so the x column must hold the
-    nodes of Grid(rows) to within 1e-12; files written by write_function_csv
-    match them exactly.  A row that is not two numbers, or an x off the grid,
+    nodes of Grid(rows) to within 1e-12; files written by the CLI match them
+    exactly.  A row that is not two numbers, or an x off the grid,
     raises InvalidGridError.
     """
     with open(path) as fh:

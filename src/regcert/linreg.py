@@ -86,8 +86,8 @@ def constants(source: SourceSpec) -> ConstantsPack:
 
 def choose_a(delta: float, source: SourceSpec) -> float:
     """A-priori rule a = b_p * delta^(2/(2p+1))."""
-    if delta <= 0.0:
-        raise InvalidParameterError(f"noise radius must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
     pack = constants(source)
     return float(pack.b_p * delta ** (2.0 / (2.0 * source.p + 1.0)))
 
@@ -281,13 +281,13 @@ def worst_case_search(
 
     r is the regularized solution for f_delta; y ranges over the source set
     intersected with the data ball of radius delta.  Multi-start projected
-    gradient ascent; the n = 1 problem is solved by brute force on a
-    10^6-point grid over the feasible interval (exact there, since the
-    objective is monotone toward the interval ends).  Raises InfeasibleError
-    when no y satisfies both constraints.
+    gradient ascent; at n = 1 the feasible set is an interval and the
+    distance to rho, convex along it, peaks at one of its ends, so the
+    result is exact there.  Raises InfeasibleError when no y satisfies both
+    constraints.
     """
-    if delta <= 0.0:
-        raise InvalidParameterError(f"noise radius must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
     if a <= 0.0:
         raise InvalidParameterError(f"regularization parameter must be positive, got {a}")
     f_delta = np.asarray(f_delta, dtype=float)
@@ -349,8 +349,7 @@ def worst_case_search(
         hi = min(half, (g[0] + np.sqrt(delta_eff_sq)) / sigma[0])
         if lo > hi:
             raise InfeasibleError("feasible interval is empty")
-        zs = np.linspace(lo, hi, 10**6)
-        return float(np.max(np.abs(zs - rho[0])))
+        return float(max(abs(lo - rho[0]), abs(hi - rho[0])))
 
     def objective(z):
         d = z - rho
@@ -485,17 +484,3 @@ def certify(
             )
         )
     return certs
-
-
-CERTIFICATE_CSV_HEADER = "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass"
-
-
-def certificate_csv_rows(certs: Sequence[Certificate], source: SourceSpec) -> list[str]:
-    rows = [CERTIFICATE_CSV_HEADER]
-    for c in certs:
-        rows.append(
-            f"{c.delta!r},{c.a_used!r},{source.p!r},{source.k_p!r},"
-            f"{c.J1_cont!r},{c.J2_cont!r},{c.J1_disc!r},{c.J2_disc!r},"
-            f"{c.rate_bound!r},{c.empirical_lower!r},{str(c.passed).lower()}"
-        )
-    return rows

@@ -27,6 +27,7 @@ from .function_space import (
     HolderSpec,
     NoisyData,
     SampledFunction,
+    add_noise,
     holder_norm,
     integrate_volterra,
     sup_distance,
@@ -39,6 +40,10 @@ BUMP_MASS = 32.0 / 35.0
 # Tolerance factor on admissibility bounds; absorbs float round-off on
 # boundary members without accepting genuinely out-of-class candidates.
 MEMBER_TOL = 1.0 + 1e-9
+
+# A certificate passes when its sampled lower bound stays within the budget
+# up to this factor.
+PASS_TOL = 1.0 + 1e-9
 
 # One-sided stencils of ``differentiate``: step 2h (the default, covered by
 # ``error_budget`` at every node) or the paper's step h.
@@ -77,6 +82,17 @@ class WitnessPair:
     bump_amplitude: float
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """Worst-case error bracket for one noise level: the budget above, the
+    largest sampled error over admissible solutions below."""
+
+    delta: float
+    budget: DiffErrorBudget
+    empirical_lower: float
+    passed: bool
+
+
 class Membership(NamedTuple):
     ok: bool
     residual: float
@@ -89,8 +105,8 @@ def step_size(delta: float, spec: HolderSpec, grid: Optional[Grid] = None) -> fl
     c_a = ((a - 1) * m_a)**(-1/a) is the exact minimizer of the budget.
     With a grid supplied, h is clamped into [dx, 1/2].
     """
-    if delta <= 0.0:
-        raise InvalidParameterError(f"noise radius must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
     if spec.a <= 1.0:
         raise UnsupportedExponentError(
             f"difference regularizer needs exponent a > 1 (got a={spec.a}); "
@@ -212,8 +228,8 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
     The amplitude scales like delta**(a/(a+1)); at a = 0 it is independent
     of delta, the signature of a class too large to regularize.
     """
-    if delta <= 0.0:
-        raise InvalidParameterError(f"noise radius must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
     if not 0.0 < center < 1.0:
         raise InvalidParameterError(f"bump center must lie in (0, 1), got {center}")
     # Snap the center to a node so the bump peak (and hence the separation)
@@ -355,3 +371,43 @@ def empirical_sup_error(
             "class bound look mutually inconsistent"
         )
     return max(sup_distance(r_out, v) for v in accepted)
+
+
+def certify(
+    truth: SampledFunction,
+    spec: HolderSpec,
+    deltas: Sequence[float],
+    models: Sequence[str],
+    samples: int,
+    seed: int = 0,
+    boundary: str = "sound",
+) -> list[Certificate]:
+    """Certificates over a noise sweep for data synthesized from ``truth``.
+
+    Per delta and noise model: data = integral of truth plus the model's
+    noise at radius delta, and the sampled lower bound of
+    empirical_sup_error over a pool anchored at the truth, seeded by
+    (seed, delta index, model index).  The certificate's lower bound is the
+    max over models; it passes when that stays within the budget total.
+    """
+    if not len(deltas) or not len(models):
+        raise InvalidParameterError("deltas and models must be non-empty")
+    f = integrate_volterra(truth)
+    certs = []
+    for di, delta in enumerate(deltas):
+        budget = error_budget(delta, spec, truth.grid)
+        emp = 0.0
+        for mi, model in enumerate(models):
+            data = add_noise(f, delta, model, seed)
+            sub_seed = int(rng_from(seed, di, mi).integers(0, 2**63))
+            # The synthetic truth is an admissible solution for its own data;
+            # anchoring the sampled pool there keeps the lower bound sound and
+            # nonempty even when the class bound is tight.
+            pool = member_candidates(truth, data, spec, samples, seed=sub_seed)
+            emp = max(
+                emp,
+                empirical_sup_error(data, spec, samples, seed=sub_seed,
+                                    candidates=pool or None, boundary=boundary),
+            )
+        certs.append(Certificate(float(delta), budget, emp, bool(emp <= budget.total * PASS_TOL)))
+    return certs

@@ -64,8 +64,6 @@ class NonlinearProblem:
 class MinimizeReport:
     v_delta: np.ndarray
     F_value: float
-    m_hat: float
-    feasible: bool
     iterations: int
     restarts: int
 
@@ -76,7 +74,6 @@ class StudyRow:
     F_value: float
     c1_delta_bound: float
     error_to_truth: float
-    feasible: bool
 
 
 def _sigma(v: np.ndarray, kind: str) -> np.ndarray:
@@ -113,8 +110,8 @@ def phi(v: np.ndarray) -> float:
 
 def functional(problem: NonlinearProblem, v: np.ndarray, f_delta: np.ndarray, delta: float) -> float:
     """F(v) = ||A(v) - f_delta|| + delta * ||v||^2."""
-    if delta <= 0.0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise InvalidParameterError(f"delta must be positive and finite, got {delta}")
     v = np.asarray(v, dtype=float)
     return float(np.linalg.norm(problem.forward(v) - f_delta)) + delta * phi(v)
 
@@ -182,8 +179,8 @@ def minimize(
     projection back into the ball; steps that break feasibility are repaired
     or rejected.  ``budget`` caps the descent iterations per phase and start.
     """
-    if delta <= 0.0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise InvalidParameterError(f"delta must be positive and finite, got {delta}")
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     f_delta = np.asarray(f_delta, dtype=float)
@@ -234,11 +231,16 @@ def minimize(
     return MinimizeReport(
         v_delta=best_v,
         F_value=float(best_f),
-        m_hat=float(best_f),
-        feasible=True,
         iterations=total_iters,
         restarts=restarts,
     )
+
+
+def noise_at_radius(rng: np.random.Generator, n: int, delta: float) -> np.ndarray:
+    """Gaussian direction drawn from ``rng``, scaled to Euclidean norm just
+    under delta."""
+    e = rng.standard_normal(n)
+    return e * (delta * (1.0 - 1e-12) / max(float(np.linalg.norm(e)), 1e-300))
 
 
 def convergence_study(
@@ -259,17 +261,14 @@ def convergence_study(
             f"phi(u_true)={phi(u_true):.3g} exceeds the cap {problem.phi_cap:.3g}"
         )
     deltas = [float(d) for d in delta_seq]
-    if not deltas or any(d <= 0.0 for d in deltas):
-        raise InvalidParameterError("delta_seq must be positive")
+    if not deltas or not all(0.0 < d < np.inf for d in deltas):
+        raise InvalidParameterError(f"delta_seq must be positive and finite, got {deltas}")
     if sorted(deltas, reverse=True) != deltas:
         raise InvalidParameterError("delta_seq must be decreasing")
     f_exact = problem.forward(u_true)
     rows = []
     for di, delta in enumerate(deltas):
-        rng = rng_from(seed, di)
-        e = rng.standard_normal(problem.n)
-        e *= delta * (1.0 - 1e-12) / max(float(np.linalg.norm(e)), 1e-300)
-        f_delta = f_exact + e
+        f_delta = f_exact + noise_at_radius(rng_from(seed, di), problem.n, delta)
         report = minimize(problem, f_delta, delta, budget=budget, seed=seed + di + 1)
         rows.append(
             StudyRow(
@@ -277,20 +276,6 @@ def convergence_study(
                 F_value=report.F_value,
                 c1_delta_bound=(1.0 + phi(u_true)) * delta,
                 error_to_truth=float(np.linalg.norm(report.v_delta - u_true)),
-                feasible=report.feasible,
             )
         )
     return rows
-
-
-STUDY_CSV_HEADER = "delta,F_value,m_hat_bound_c1delta,error_to_truth,feasible"
-
-
-def study_csv_rows(rows: Sequence[StudyRow]) -> list[str]:
-    out = [STUDY_CSV_HEADER]
-    for r in rows:
-        out.append(
-            f"{r.delta!r},{r.F_value!r},{r.c1_delta_bound!r},"
-            f"{r.error_to_truth!r},{str(r.feasible).lower()}"
-        )
-    return out

@@ -10,20 +10,42 @@ from regcert import (
     SourceSpec,
     add_noise,
     certify,
+    convergence_study,
     differentiate,
     error_budget,
     integrate_volterra,
+    make_nonlinear_problem,
+    minimize,
+    numdiff,
     witness_pair,
 )
-from regcert.cli import make_truth, parse_deltas, resolve_config, run
+from regcert.cli import _seeded_truth_in_ball, make_truth, parse_deltas, resolve_config, run
 from regcert.errors import UsageError
 from regcert.function_space import read_function_csv
-from regcert.linreg import certificate_csv_rows
+from regcert.seeding import rng_from
+from regcert.varreg import noise_at_radius
 
 
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _rows(path):
+    """Header fields and data rows of a CLI CSV file."""
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _assert_cells(row, values):
+    """Each cell holds exactly its value: bools as true/false, numbers
+    parse back to the same float."""
+    assert len(row) == len(values)
+    for cell, value in zip(row, values):
+        if isinstance(value, bool):
+            assert cell == str(value).lower()
+        else:
+            assert float(cell) == value
 
 
 class TestParsing:
@@ -79,10 +101,12 @@ class TestExitCodes:
         assert run(["certify-linear", "--n", "8"]) == 1
 
     def test_unknown_model_exit_one(self, tmp_path):
-        code = run(["certify-diff", "--n", "257", "--a", "2", "--m", "1",
-                    "--deltas", "1e-3", "--models", "gaussian",
-                    "--out", str(tmp_path / "x.csv")])
-        assert code == 1
+        # An empty list would leave no sampled lower bound to certify.
+        for models in ("gaussian", ","):
+            code = run(["certify-diff", "--n", "257", "--a", "2", "--m", "1",
+                        "--deltas", "1e-3", "--models", models,
+                        "--out", str(tmp_path / "x.csv")])
+            assert code == 1
 
     def test_failed_certificate_exit_two(self, tmp_path):
         # Alternating noise at an odd step multiple exceeds the budget's
@@ -153,6 +177,28 @@ class TestExitCodes:
         assert [r[:7] for r in sound_rows] == [r[:7] for r in paper_rows]
 
 
+# Every subcommand with its noise-radius option last; the value is appended.
+_RADIUS_ARGV = {
+    "differentiate": ["--n", "257", "--a", "2", "--m", "1", "--delta"],
+    "certify-diff": ["--n", "257", "--a", "2", "--m", "1", "--samples", "2", "--deltas"],
+    "witness": ["--n", "257", "--a", "2", "--m", "1", "--deltas"],
+    "certify-linear": ["--problem", "diagonal", "--n", "8", "--p", "0.5", "--k", "1",
+                       "--trials", "1", "--deltas"],
+    "varmin": ["--n", "3", "--budget", "10", "--delta"],
+    "study": ["--n", "3", "--budget", "10", "--deltas"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("sub", sorted(_RADIUS_ARGV))
+def test_non_finite_noise_radius_exit_one(sub, value, capsys, caplog):
+    code = run([sub, *_RADIUS_ARGV[sub], value])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    assert any(f"got {value}" in rec.message or f"got [{value}]" in rec.message
+               for rec in caplog.records)
+
+
 class TestDeterminism:
     def test_certify_linear_threads_byte_identical(self, tmp_path):
         base = ["certify-linear", "--problem", "volterra", "--n", "32", "--p", "0.5",
@@ -196,8 +242,13 @@ class TestThinAdapter:
         assert code == 0
         certs = certify(ProblemSpec("volterra", 32, q=1.0, seed=9), SourceSpec(0.5, 1.0),
                         [1e-2, 1e-3], 4, seed=9, threads=1)
-        want = "\n".join(certificate_csv_rows(certs, SourceSpec(0.5, 1.0))) + "\n"
-        assert out.read_text() == want
+        header, rows = _rows(out)
+        assert header == ["delta", "a", "p", "k", "J1_cont", "J2_cont", "J1_disc", "J2_disc",
+                          "rate_bound", "empirical_lower", "pass"]
+        assert len(rows) == len(certs)
+        for row, c in zip(rows, certs):
+            _assert_cells(row, [c.delta, c.a_used, 0.5, 1.0, c.J1_cont, c.J2_cont, c.J1_disc,
+                                c.J2_disc, c.rate_bound, c.empirical_lower, c.passed])
 
     def test_witness_rows_equal_module_output(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -247,6 +298,57 @@ class TestThinAdapter:
         assert float(row[4]) == budget.noise_term
         assert float(row[5]) == budget.bias_term
         assert float(row[6]) == budget.total
+
+    @pytest.mark.parametrize("boundary", ["sound", "paper"])
+    def test_certify_diff_rows_equal_module_output(self, tmp_path, boundary):
+        # The paper stencil fails the 1e-4 cell, so both pass values appear.
+        out = tmp_path / "cd.csv"
+        code = run(["certify-diff", "--n", "4097", "--a", "2", "--m", "1",
+                    "--deltas", "1e-3,1e-4", "--models", "alternating,spike",
+                    "--samples", "3", "--truth", "quadratic", "--seed", "2",
+                    "--boundary", boundary, "--out", str(out)])
+        spec = HolderSpec(2.0, 1.0)
+        truth = make_truth("quadratic", Grid(4097), spec, 2)
+        certs = numdiff.certify(truth, spec, [1e-3, 1e-4], ["alternating", "spike"], 3,
+                                seed=2, boundary=boundary)
+        assert code == (0 if all(c.passed for c in certs) else 2)
+        header, rows = _rows(out)
+        assert header == ["delta", "a", "M", "h", "noise_term", "bias_term", "total",
+                          "empirical_lower", "pass"]
+        assert len(rows) == len(certs)
+        for row, c in zip(rows, certs):
+            b = c.budget
+            _assert_cells(row, [c.delta, 2.0, 1.0, b.h, b.noise_term, b.bias_term, b.total,
+                                c.empirical_lower, c.passed])
+        assert [c.passed for c in certs] == ([True, True] if boundary == "sound"
+                                             else [True, False])
+
+    def test_varmin_row_equals_module_output(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert run(["varmin", "--n", "3", "--delta", "1e-3", "--budget", "60",
+                    "--seed", "5", "--out", str(out)]) == 0
+        problem = make_nonlinear_problem("diagonal", 3, "cubic", phi_cap=4.0, q=1.0, seed=5)
+        u_true = _seeded_truth_in_ball(3, 4.0, 5)
+        f_delta = problem.forward(u_true) + noise_at_radius(rng_from(5, 137), 3, 1e-3)
+        report = minimize(problem, f_delta, 1e-3, budget=60, seed=5)
+        header, rows = _rows(out)
+        assert header == ["delta", "F_value", "m_hat", "feasible", "iterations", "restarts"]
+        assert len(rows) == 1
+        _assert_cells(rows[0], [1e-3, report.F_value, report.F_value, True,
+                                report.iterations, report.restarts])
+
+    def test_study_rows_equal_module_output(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["study", "--n", "3", "--deltas", "1e-3,1e-2", "--budget", "60",
+                    "--seed", "4", "--out", str(out)]) == 0
+        problem = make_nonlinear_problem("diagonal", 3, "cubic", phi_cap=4.0, q=1.0, seed=4)
+        u_true = _seeded_truth_in_ball(3, 4.0, 4)
+        study = convergence_study(problem, u_true, [1e-2, 1e-3], budget=60, seed=4)
+        header, rows = _rows(out)
+        assert header == ["delta", "F_value", "m_hat_bound_c1delta", "error_to_truth", "feasible"]
+        assert len(rows) == len(study)
+        for row, r in zip(rows, study):
+            _assert_cells(row, [r.delta, r.F_value, r.c1_delta_bound, r.error_to_truth, True])
 
 
 def test_stdout_emission(capsys):

@@ -3,13 +3,16 @@ import pytest
 
 from regcert import (
     Grid,
+    HolderSpec,
     NoisyData,
     SampledFunction,
     add_noise,
+    differentiate,
     holder_norm,
     integrate_volterra,
     sup_distance,
 )
+from regcert.cli import make_truth, run
 from regcert.errors import (
     GridMismatchError,
     InvalidExponentError,
@@ -19,10 +22,8 @@ from regcert.errors import (
 from regcert.function_space import (
     NOISE_MODELS,
     _pair_quotient,
-    function_csv_text,
     grid_derivative,
     read_function_csv,
-    write_function_csv,
 )
 from regcert.numdiff import _bump_samples
 
@@ -247,14 +248,22 @@ class TestAddNoise:
 
 
 def test_csv_round_trip(tmp_path):
-    g = Grid(37)
-    sf = SampledFunction(g, np.sin(5.0 * g.nodes) / 3.0)
+    # The CLI writes x,value rows that read back to the same grid and
+    # values, and the x column holds the grid nodes exactly.
     path = tmp_path / "f.csv"
-    write_function_csv(sf, path)
+    assert run(["differentiate", "--n", "37", "--a", "2", "--m", "1", "--delta", "1e-2",
+                "--model", "smooth", "--truth", "sin2pi", "--seed", "3",
+                "--out", str(path)]) == 0
+    g = Grid(37)
+    spec = HolderSpec(2.0, 1.0)
+    data = add_noise(integrate_volterra(make_truth("sin2pi", g, spec, 3)), 1e-2, "smooth", 3)
+    want = differentiate(data, spec)
     back = read_function_csv(path)
-    assert back.grid.n == g.n
-    assert np.array_equal(back.values, sf.values)
-    assert function_csv_text(sf).splitlines()[0] == "x,value"
+    assert back.grid == g
+    assert np.array_equal(back.values, want.values)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,value"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == g.nodes.tolist()
 
 
 def test_csv_reader_rejects_malformed_and_off_grid_rows(tmp_path):

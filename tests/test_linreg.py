@@ -22,7 +22,7 @@ from regcert.errors import (
     InvalidParameterError,
     InvalidSourceError,
 )
-from regcert.linreg import certificate_csv_rows
+from regcert.cli import run
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms.
 CONSTS_P025_K1 = (0.56987676423869441, 2.1165347359575993, 1.0310472277489520)
@@ -70,8 +70,11 @@ class TestChooseA:
         assert ratio == pytest.approx(2.0 ** (-2.0 / (2 * 0.3 + 1)), rel=1e-12)
 
     def test_bad_delta(self):
-        with pytest.raises(InvalidParameterError):
-            choose_a(0.0, SourceSpec(0.5, 1.0))
+        for delta in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                choose_a(delta, SourceSpec(0.5, 1.0))
+            with pytest.raises(InvalidParameterError):
+                worst_case_search(svd(np.eye(2)), SourceSpec(0.5, 1.0), np.zeros(2), delta, 0.1)
 
 
 class TestApply:
@@ -314,10 +317,14 @@ class TestCertify:
         bound_slope = np.polyfit(np.log(deltas), np.log([c.rate_bound for c in certs]), 1)[0]
         assert bound_slope == pytest.approx(want, abs=1e-6)
 
-    def test_csv_rows(self):
+    def test_csv_rows(self, tmp_path):
         src = SourceSpec(0.5, 1.0)
         certs = certify(ProblemSpec("diagonal", 8, q=1.0), src, [1e-3], trials=2, seed=0)
-        rows = certificate_csv_rows(certs, src)
+        out = tmp_path / "c.csv"
+        assert run(["certify-linear", "--problem", "diagonal", "--n", "8", "--q", "1",
+                    "--p", "0.5", "--k", "1", "--deltas", "1e-3", "--trials", "2",
+                    "--seed", "0", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
         assert rows[0].startswith("delta,a,p,k,J1_cont")
         fields = rows[1].split(",")
         assert float(fields[0]) == certs[0].delta

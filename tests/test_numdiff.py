@@ -25,6 +25,7 @@ from regcert.errors import (
     StepTooLargeError,
     UnsupportedExponentError,
 )
+from regcert.numdiff import PASS_TOL, certify
 from conftest import scaled_truth
 
 
@@ -51,8 +52,11 @@ class TestStepSize:
             step_size(1e-3, HolderSpec(1.0, 1.0))
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(InvalidParameterError):
-            step_size(0.0, HolderSpec(2.0, 1.0))
+        for delta in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                step_size(delta, HolderSpec(2.0, 1.0))
+            with pytest.raises(InvalidParameterError):
+                witness_pair(delta, HolderSpec(2.0, 1.0), 0.5, Grid(257))
 
     def test_grid_clamp(self):
         g = Grid(11)
@@ -367,6 +371,31 @@ class TestEmpiricalSupError:
         a = empirical_sup_error(data, spec, 8, seed=2, candidates=pool)
         b = empirical_sup_error(data, spec, 8, seed=2, candidates=list(reversed(pool)))
         assert a == b
+
+
+
+class TestCertify:
+    def test_one_certificate_per_delta(self):
+        g = Grid(513)
+        spec = HolderSpec(2.0, 1.0)
+        u = scaled_truth(g, spec, g.nodes**2)
+        deltas = [1e-3, 1e-4]
+        certs = certify(u, spec, deltas, ["spike", "smooth"], 3, seed=4)
+        assert [c.delta for c in certs] == deltas
+        for c in certs:
+            assert c.budget == error_budget(c.delta, spec, g)
+            # The truth is in every pool, so its error is a floor.
+            assert c.empirical_lower > 0.0
+            assert c.passed == (c.empirical_lower <= c.budget.total * PASS_TOL)
+        assert certify(u, spec, deltas, ["spike", "smooth"], 3, seed=4) == certs
+
+    def test_lower_bound_is_max_over_models(self):
+        g = Grid(513)
+        spec = HolderSpec(2.0, 1.0)
+        u = scaled_truth(g, spec, g.nodes**2)
+        both = certify(u, spec, [1e-3], ["spike", "smooth"], 2, seed=1)[0]
+        spike = certify(u, spec, [1e-3], ["spike"], 2, seed=1)[0]
+        assert both.empirical_lower >= spike.empirical_lower
 
 
 def test_budget_dominance_guaranteed_models():

@@ -10,7 +10,8 @@ from regcert import (
 )
 from regcert.errors import InfeasibleError, InvalidMatrixError, InvalidParameterError
 from regcert.seeding import rng_from
-from regcert.varreg import NonlinearProblem, _sigma, _sigma_inverse, phi, study_csv_rows
+from regcert.cli import _seeded_truth_in_ball, run
+from regcert.varreg import FEAS_TOL, NonlinearProblem, _sigma, _sigma_inverse, phi
 
 
 def _truth(n, cap, seed, fill=0.7):
@@ -77,7 +78,7 @@ class TestMinimize:
         feasible = (v1**2 + v2**2 <= 1.0) & (resid <= delta)
         grid_min = float(values[feasible].min())
         assert report.F_value == pytest.approx(grid_min, rel=0.01)
-        assert report.feasible
+        assert np.linalg.norm(prob.forward(report.v_delta) - f) <= delta * FEAS_TOL
 
     def test_truth_witness_bound(self):
         # With data generated at radius delta from a feasible truth,
@@ -106,7 +107,7 @@ class TestMinimize:
         e *= delta * (1 - 1e-12) / np.linalg.norm(e)
         f = prob.forward(u) + e
         report = minimize(prob, f, delta, budget=150, seed=7, extra_starts=[u])
-        assert report.m_hat <= functional(prob, u, f, delta)
+        assert report.F_value <= functional(prob, u, f, delta)
 
     def test_zero_noise_truth_start_stays(self):
         prob = make_nonlinear_problem("diagonal", 3, "identity", phi_cap=1.0, q=1.0)
@@ -122,8 +123,11 @@ class TestMinimize:
 
     def test_validation(self):
         prob = make_nonlinear_problem("diagonal", 2, "identity", phi_cap=1.0)
-        with pytest.raises(InvalidParameterError):
-            minimize(prob, np.zeros(2), 0.0, budget=10, seed=0)
+        for delta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                minimize(prob, np.zeros(2), delta, budget=10, seed=0)
+            with pytest.raises(InvalidParameterError):
+                functional(prob, np.zeros(2), np.zeros(2), delta)
         with pytest.raises(InvalidParameterError):
             minimize(prob, np.zeros(2), 0.1, budget=0, seed=0)
         with pytest.raises(InvalidMatrixError):
@@ -139,7 +143,6 @@ class TestConvergenceStudy:
         rows = convergence_study(prob, u, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], budget=200, seed=9)
         errors = [r.error_to_truth for r in rows]
         for r in rows:
-            assert r.feasible
             assert r.F_value <= 2.0 * r.c1_delta_bound
         for e_prev, e_next in zip(errors, errors[1:]):
             assert e_next <= 1.2 * e_prev
@@ -178,12 +181,17 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidParameterError):
             convergence_study(prob, np.zeros(3), [1e-3, 1e-2], budget=10, seed=0)
 
-    def test_csv_rows(self):
-        prob = make_nonlinear_problem("diagonal", 3, "cubic", phi_cap=4.0)
-        u = _truth(3, prob.phi_cap, seed=1)
+    def test_csv_rows(self, tmp_path):
+        prob = make_nonlinear_problem("diagonal", 3, "cubic", phi_cap=4.0, seed=2)
+        u = _seeded_truth_in_ball(3, prob.phi_cap, 2)
         rows = convergence_study(prob, u, [1e-2], budget=80, seed=2)
-        text = study_csv_rows(rows)
+        out = tmp_path / "s.csv"
+        assert run(["study", "--n", "3", "--deltas", "1e-2", "--budget", "80",
+                    "--seed", "2", "--out", str(out)]) == 0
+        text = out.read_text().splitlines()
         assert text[0] == "delta,F_value,m_hat_bound_c1delta,error_to_truth,feasible"
         fields = text[1].split(",")
         assert float(fields[0]) == 1e-2
+        assert float(fields[1]) == rows[0].F_value
+        assert float(fields[3]) == rows[0].error_to_truth
         assert fields[4] == "true"
