@@ -71,7 +71,7 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class HolderSpec:
-    """Smoothness class parameters: exponent a in [0, 2] and norm bound m_a > 0."""
+    """Smoothness class parameters: exponent a in [0, 2] and finite norm bound m_a > 0."""
 
     a: float
     m_a: float
@@ -79,8 +79,8 @@ class HolderSpec:
     def __post_init__(self):
         if not 0.0 <= self.a <= 2.0:
             raise InvalidExponentError(f"exponent must lie in [0, 2], got {self.a}")
-        if not self.m_a > 0.0:
-            raise InvalidExponentError(f"norm bound must be positive, got {self.m_a}")
+        if not 0.0 < self.m_a < np.inf:
+            raise InvalidExponentError(f"norm bound must be positive and finite, got {self.m_a}")
 
 
 @dataclass(frozen=True)

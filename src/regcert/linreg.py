@@ -34,7 +34,7 @@ PASS_TOL = 1.0 + 1e-9
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Source-set parameters: order p in (0, 1) and radius k_p > 0."""
+    """Source-set parameters: order p in (0, 1) and finite radius k_p > 0."""
 
     p: float
     k_p: float
@@ -42,8 +42,8 @@ class SourceSpec:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise InvalidSourceError(f"order p must lie in (0, 1), got {self.p}")
-        if not self.k_p > 0.0:
-            raise InvalidSourceError(f"radius k_p must be positive, got {self.k_p}")
+        if not 0.0 < self.k_p < np.inf:
+            raise InvalidSourceError(f"radius k_p must be positive and finite, got {self.k_p}")
 
 
 @dataclass(frozen=True)
@@ -431,6 +431,8 @@ def certify(
         raise InvalidParameterError("deltas must be non-empty")
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     matrix, tri = make_problem(problem)
     pack = constants(source)
     p, k = source.p, source.k_p

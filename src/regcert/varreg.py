@@ -42,8 +42,8 @@ class NonlinearProblem:
             raise InvalidMatrixError(
                 f"unknown nonlinearity {self.nonlinearity!r}; choose one of {NONLINEARITIES}"
             )
-        if not self.phi_cap > 0.0:
-            raise InvalidParameterError(f"phi cap must be positive, got {self.phi_cap}")
+        if not 0.0 < self.phi_cap < np.inf:
+            raise InvalidParameterError(f"phi cap must be positive and finite, got {self.phi_cap}")
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
@@ -83,16 +83,13 @@ def _sigma(v: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _sigma_inverse(x: np.ndarray, kind: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     if kind == "identity":
-        return np.asarray(x, dtype=float)
-    # Solve t + t^3/3 = x per component; the map is strictly increasing.
-    t = np.asarray(x, dtype=float).copy()
-    for _ in range(60):
-        f = t + t**3 / 3.0 - x
-        t = t - f / (1.0 + t**2)
-        if np.max(np.abs(f)) < 1e-14 * max(1.0, float(np.max(np.abs(x)))):
-            break
-    return t
+        return x
+    # Cardano: the real root of t^3 + 3t = 3x is 3x / (w^2 + 1 + w^-2) with
+    # w^3 = (3|x| + hypot(3x, 2))/2; the denominator is even in x, so nothing cancels.
+    w2 = np.cbrt((3.0 * np.abs(x) + np.hypot(3.0 * x, 2.0)) / 2.0) ** 2
+    return 3.0 * x / (w2 + 1.0 + 1.0 / w2)
 
 
 def make_nonlinear_problem(
@@ -127,22 +124,24 @@ def _project_cap(v: np.ndarray, cap: float) -> np.ndarray:
     return v * np.sqrt(cap / r)
 
 
-def _num_grad(fn, v: np.ndarray, step: float) -> np.ndarray:
-    g = np.empty_like(v)
-    for i in range(v.size):
-        e = np.zeros_like(v)
-        e[i] = step
-        g[i] = (fn(v + e) - fn(v - e)) / (2.0 * step)
-    return g
+def _gradient(problem, v, f_delta, delta=None):
+    """Gradient of ||r||^2 or, given ``delta``, of F, from J^T r = sigma'(v) * B^T r."""
+    r = problem.forward(v) - f_delta
+    jtr = (1.0 if problem.nonlinearity == "identity" else 1.0 + v**2) * (problem.b.T @ r)
+    if delta is None:
+        return 2.0 * jtr
+    rn = float(np.linalg.norm(r))
+    # At r = 0 the residual term is 0, as a symmetric difference quotient gives.
+    return (jtr / rn if rn > 0.0 else 0.0) + 2.0 * delta * v
 
 
-def _descend(fn, v, cap, iters, grad_step):
-    """Projected gradient descent with backtracking; numerical gradients."""
+def _descend(fn, grad, v, cap, iters):
+    """Projected gradient descent with backtracking; ``grad`` is fn's gradient."""
     fv = fn(v)
     used = 0
     for _ in range(iters):
         used += 1
-        g = _num_grad(fn, v, grad_step)
+        g = grad(v)
         gn = float(np.linalg.norm(g))
         if gn < 1e-14:
             break
@@ -177,17 +176,18 @@ def minimize(
     seeded random points inside the phi ball.  Each start first descends the
     residual until it clears delta, then descends F itself with radial
     projection back into the ball; steps that break feasibility are repaired
-    or rejected.  ``budget`` caps the descent iterations per phase and start.
+    or rejected.  Both phases follow closed-form gradients of their objective;
+    ``budget`` caps the descent iterations per phase and start.
     """
     if not 0.0 < delta < np.inf:
         raise InvalidParameterError(f"delta must be positive and finite, got {delta}")
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    if restarts < 1:
+        raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
     f_delta = np.asarray(f_delta, dtype=float)
     cap = problem.phi_cap
     n = problem.n
-    scale = max(1.0, float(np.max(np.abs(f_delta))))
-    grad_step = 1e-6 * scale
 
     starts: list[np.ndarray] = [np.zeros(n)]
     lin = _sigma_inverse(apply(problem.b_svd, f_delta, delta), problem.nonlinearity)
@@ -200,25 +200,24 @@ def minimize(
         r = float(rng.uniform(0.0, 1.0)) ** (1.0 / n) * np.sqrt(cap)
         starts.append(r * d / max(float(np.linalg.norm(d)), 1e-300))
 
+    sq = lambda w: _residual(problem, w, f_delta) ** 2
+    sq_grad = lambda w: _gradient(problem, w, f_delta)
+    fn = lambda w: functional(problem, w, f_delta, delta)
+    fn_grad = lambda w: _gradient(problem, w, f_delta, delta)
     best_v = None
     best_f = np.inf
     total_iters = 0
     for v0 in starts[:restarts]:
         # Phase A: reach the admissible set.
-        v, _, it_a = _descend(
-            lambda w: _residual(problem, w, f_delta) ** 2, v0, cap, budget, grad_step
-        )
+        v, _, it_a = _descend(sq, sq_grad, v0, cap, budget)
         total_iters += it_a
         if _residual(problem, v, f_delta) > delta * FEAS_TOL:
             continue
         # Phase B: descend the penalized functional, repairing residual drift.
-        fn = lambda w: functional(problem, w, f_delta, delta)
-        v, fv, it_b = _descend(fn, v, cap, budget, grad_step)
+        v, fv, it_b = _descend(fn, fn_grad, v, cap, budget)
         total_iters += it_b
         if _residual(problem, v, f_delta) > delta * FEAS_TOL:
-            v, _, it_c = _descend(
-                lambda w: _residual(problem, w, f_delta) ** 2, v, cap, budget, grad_step
-            )
+            v, _, it_c = _descend(sq, sq_grad, v, cap, budget)
             total_iters += it_c
             fv = fn(v)
         if _residual(problem, v, f_delta) <= delta * FEAS_TOL and fv < best_f:

@@ -176,6 +176,23 @@ class TestExitCodes:
         assert [r[-1] for r in paper_rows].count("false") == 3
         assert [r[:7] for r in sound_rows] == [r[:7] for r in paper_rows]
 
+    def test_readme_varreg_examples(self, tmp_path):
+        # The README's varmin and study examples: every row is feasible, and
+        # every study row keeps the 2-approximate bound F <= 2 c1 delta.
+        varmin, study = tmp_path / "varmin.csv", tmp_path / "study.csv"
+        assert run(["varmin", "--nonlinearity", "cubic", "--n", "4", "--delta", "1e-3",
+                    "--out", str(varmin)]) == 0
+        assert run(["study", "--nonlinearity", "cubic", "--n", "4",
+                    "--deltas", "1e-1:1e-5:log5", "--out", str(study)]) == 0
+        header, rows = _rows(varmin)
+        assert len(rows) == 1 and rows[0][header.index("feasible")] == "true"
+        header, rows = _rows(study)
+        assert len(rows) == 5
+        for row in rows:
+            assert row[header.index("feasible")] == "true"
+            f_value = float(row[header.index("F_value")])
+            assert f_value <= 2.0 * float(row[header.index("m_hat_bound_c1delta")])
+
 
 # Every subcommand with its noise-radius option last; the value is appended.
 _RADIUS_ARGV = {
@@ -197,6 +214,33 @@ def test_non_finite_noise_radius_exit_one(sub, value, capsys, caplog):
     assert capsys.readouterr().out == ""
     assert any(f"got {value}" in rec.message or f"got [{value}]" in rec.message
                for rec in caplog.records)
+
+
+# Class radii must be finite and counts at least 1: each argv with the
+# words its logged message must hold, naming the parameter.
+_LINEAR = ["certify-linear", "--problem", "diagonal", "--n", "8", "--p", "0.5",
+           "--trials", "1", "--deltas", "1e-3"]
+_BAD_PARAMETER_ARGV = {
+    "varmin-cap-inf": (["varmin", "--n", "3", "--budget", "10", "--delta", "1e-3",
+                        "--cap", "inf"], "phi cap must"),
+    "study-cap-inf": (["study", "--n", "3", "--budget", "10", "--deltas", "1e-3",
+                       "--cap", "inf"], "phi cap must"),
+    "certify-linear-k-inf": (_LINEAR + ["--k", "inf"], "k_p must"),
+    "certify-linear-threads-0": (_LINEAR + ["--k", "1", "--threads", "0"], "threads must"),
+    "certify-linear-threads-neg": (_LINEAR + ["--k", "1", "--threads", "-2"], "threads must"),
+    "certify-diff-m-inf": (["certify-diff", "--n", "257", "--a", "2", "--m", "inf",
+                            "--samples", "2", "--deltas", "1e-3"], "norm bound must"),
+    "differentiate-m-inf": (["differentiate", "--n", "257", "--a", "2", "--m", "inf",
+                             "--delta", "1e-3"], "norm bound must"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PARAMETER_ARGV))
+def test_bad_parameter_exit_one(case, capsys, caplog):
+    argv, name = _BAD_PARAMETER_ARGV[case]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert any(name in rec.message for rec in caplog.records)
 
 
 class TestDeterminism:

@@ -53,8 +53,9 @@ class TestConstants:
         for p in (0.0, 1.0, -0.5):
             with pytest.raises(InvalidSourceError):
                 SourceSpec(p, 1.0)
-        with pytest.raises(InvalidSourceError):
-            SourceSpec(0.5, 0.0)
+        for k in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidSourceError):
+                SourceSpec(0.5, k)
 
 
 class TestChooseA:
@@ -316,6 +317,16 @@ class TestCertify:
         assert slope >= want - 0.15
         bound_slope = np.polyfit(np.log(deltas), np.log([c.rate_bound for c in certs]), 1)[0]
         assert bound_slope == pytest.approx(want, abs=1e-6)
+
+    def test_validation(self):
+        spec, src = ProblemSpec("diagonal", 4), SourceSpec(0.5, 1.0)
+        with pytest.raises(InvalidParameterError):
+            certify(spec, src, [], trials=1)
+        with pytest.raises(InvalidParameterError):
+            certify(spec, src, [1e-3], trials=0)
+        for threads in (0, -2):
+            with pytest.raises(InvalidParameterError):
+                certify(spec, src, [1e-3], trials=1, threads=threads)
 
     def test_csv_rows(self, tmp_path):
         src = SourceSpec(0.5, 1.0)

@@ -11,7 +11,14 @@ from regcert import (
 from regcert.errors import InfeasibleError, InvalidMatrixError, InvalidParameterError
 from regcert.seeding import rng_from
 from regcert.cli import _seeded_truth_in_ball, run
-from regcert.varreg import FEAS_TOL, NonlinearProblem, _sigma, _sigma_inverse, phi
+from regcert.varreg import (
+    FEAS_TOL,
+    NonlinearProblem,
+    _gradient,
+    _sigma,
+    _sigma_inverse,
+    phi,
+)
 
 
 def _truth(n, cap, seed, fill=0.7):
@@ -48,6 +55,15 @@ class TestSigma:
         x = rng.standard_normal(50) * 2.0
         t = _sigma_inverse(_sigma(x, "cubic"), "cubic")
         np.testing.assert_allclose(t, x, atol=1e-10)
+        # Magnitudes 1e-12 to 1e8 of both signs, where the cubic term goes
+        # from negligible to dominant; the signed zeros come back unchanged.
+        mags = np.logspace(-12, 8, 201)
+        x = np.concatenate([mags, -mags])
+        t = _sigma_inverse(_sigma(x, "cubic"), "cubic")
+        assert np.max(np.abs(t - x) / np.abs(x)) <= 1e-14
+        zeros = _sigma_inverse(np.array([0.0, -0.0]), "cubic")
+        assert np.array_equal(zeros, [0.0, 0.0])
+        assert list(np.signbit(zeros)) == [False, True]
 
     def test_injectivity_sanity(self, rng):
         prob = make_nonlinear_problem("rotated-diagonal", 4, "cubic", phi_cap=4.0, seed=2)
@@ -60,6 +76,44 @@ class TestSigma:
             if np.array_equal(v, w):
                 continue
             assert np.linalg.norm(prob.forward(v) - prob.forward(w)) > 1e-12 * scale
+
+
+def _central_difference(fn, v, step):
+    """Symmetric difference quotient per coordinate: the reference gradient."""
+    g = np.empty_like(v)
+    for i in range(v.size):
+        e = np.zeros_like(v)
+        e[i] = step
+        g[i] = (fn(v + e) - fn(v - e)) / (2.0 * step)
+    return g
+
+
+class TestGradient:
+    @pytest.mark.parametrize("nonlinearity", ["identity", "cubic"])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_matches_central_difference(self, nonlinearity, n):
+        prob = make_nonlinear_problem("rotated-diagonal", n, nonlinearity, phi_cap=4.0, seed=n)
+        rng = rng_from(40 + n)
+        delta = 1e-2
+        for _ in range(10):
+            v = rng.standard_normal(n)
+            f = rng.standard_normal(n)
+            step = 1e-6 * max(1.0, float(np.max(np.abs(f))))
+            sq = lambda w: float(np.linalg.norm(prob.forward(w) - f)) ** 2
+            fn = lambda w: functional(prob, w, f, delta)
+            for got, want in (
+                (_gradient(prob, v, f), _central_difference(sq, v, step)),
+                (_gradient(prob, v, f, delta), _central_difference(fn, v, step)),
+            ):
+                assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("nonlinearity", ["identity", "cubic"])
+    def test_zero_residual_leaves_penalty_gradient(self, nonlinearity):
+        prob = make_nonlinear_problem("rotated-diagonal", 3, nonlinearity, phi_cap=4.0, seed=1)
+        v = np.array([0.5, -0.2, 0.1])
+        f = prob.forward(v)
+        assert np.array_equal(_gradient(prob, v, f, 0.01), 2.0 * 0.01 * v)
+        assert np.array_equal(_gradient(prob, v, f), np.zeros(3))
 
 
 class TestMinimize:
@@ -130,6 +184,11 @@ class TestMinimize:
                 functional(prob, np.zeros(2), np.zeros(2), delta)
         with pytest.raises(InvalidParameterError):
             minimize(prob, np.zeros(2), 0.1, budget=0, seed=0)
+        with pytest.raises(InvalidParameterError):
+            minimize(prob, np.zeros(2), 0.1, budget=10, seed=0, restarts=0)
+        for cap in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                NonlinearProblem(b=np.eye(2), nonlinearity="identity", phi_cap=cap)
         with pytest.raises(InvalidMatrixError):
             NonlinearProblem(b=np.zeros((2, 2)), nonlinearity="identity", phi_cap=1.0)
         with pytest.raises(InvalidMatrixError):
