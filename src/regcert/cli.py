@@ -153,7 +153,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("k", float, required=True, help="source radius"),
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
         Opt("trials", int, default=16, help="seeded (y, noise) draws per delta"),
-        Opt("threads", int, default=1, help="worker threads for the trial fan-out"),
+        Opt("threads", int, default=1, help="worker threads for the blocks of searches"),
         *_COMMON,
     ],
     "varmin": [

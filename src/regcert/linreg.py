@@ -183,108 +183,151 @@ def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
 #   data ellipsoid     sum (sigma_i z_i - g_i)^2 <= delta_eff^2
 # and the objective ||z - rho||, rho the filtered data, is maximized by
 # multi-start projected gradient ascent with Dykstra alternating projections.
+#
+# Every routine below acts on an (R, n) array of rows.  A row is one ascent:
+# one restart of one search, where a search is one f_delta (one certify task).
+# Each row does the arithmetic a lone 1-D ascent would do, bit for bit: a row
+# sum of a C-contiguous array is the same pairwise sum as a 1-D .sum(), and a
+# stacked (1, n) @ (n, 1) matmul is the same BLAS dot as np.linalg.norm.  Each
+# loop drops a row from its working arrays as soon as the row meets its own
+# stopping test, so a row's result never depends on which other rows share
+# its array.  certify runs its searches in blocks of whole searches of about
+# _SEARCH_BLOCK elements each; the budget bounds the working arrays' memory.
+
+_SEARCH_BLOCK = 1 << 13
 
 
-def _shrink_root(r2: np.ndarray, w: np.ndarray, bound_sq: float) -> float:
-    """Solve sum r2_i/(1 + mu w_i)^2 = bound_sq for mu >= 0.
+def _shrink_root(r2: np.ndarray, w: np.ndarray, bound_sq) -> np.ndarray:
+    """Solve sum_j r2_ij/(1 + mu_i w_j)^2 = bound_sq_i for mu_i >= 0, per row.
 
-    The left side is convex and decreasing in mu, so Newton from any point
-    left of the root increases monotonically to it; a doubling pre-phase
-    keeps the start close for far roots.
+    r2 is (R, n), w is (n,) and bound_sq a scalar or (R,).  The left side is
+    convex and decreasing in mu, so Newton from any point left of the root
+    increases monotonically to it; a doubling pre-phase keeps the start close
+    for far roots.
     """
-    wr2 = w * r2
-
-    def val_at(mu_):
-        return float((r2 / (1.0 + mu_ * w) ** 2).sum()) - bound_sq
-
-    mu = 0.0
-    # Doubling pre-phase: advance while still strictly left of the root.
-    # Capped so a zero bound (root at infinity) degrades to a huge but finite
-    # multiplier, which the closed-form shrink handles gracefully.
-    step = 1.0
-    for _ in range(340):
-        trial = mu + step
-        if trial < 1e200 and val_at(trial) > 0.0:
-            mu = trial
-            step *= 4.0
-        else:
-            break
-    for _ in range(40):
-        denom = 1.0 + mu * w
-        d2 = denom * denom
-        val = float((r2 / d2).sum()) - bound_sq
-        if val <= bound_sq * 1e-13:
-            break
-        slope = -2.0 * float((wr2 / (d2 * denom)).sum())
-        mu_new = mu - val / slope
-        if not np.isfinite(mu_new) or mu_new <= mu * (1.0 + 1e-15):
-            break
-        mu = mu_new
+    rows = r2.shape[0]
+    bound_sq = np.broadcast_to(np.asarray(bound_sq, dtype=float), (rows,))
+    mu = np.zeros(rows)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # Doubling pre-phase: advance while still strictly left of the root.
+        # Capped so a zero bound (root at infinity) degrades to a huge but
+        # finite multiplier, which the closed-form shrink handles gracefully.
+        live, r2_l, b_l = np.arange(rows), r2, bound_sq
+        step = np.ones(rows)
+        for _ in range(340):
+            trial = mu[live] + step
+            val = (r2_l / (1.0 + trial[:, None] * w) ** 2).sum(axis=1) - b_l
+            go = (trial < 1e200) & (val > 0.0)
+            mu[live[go]] = trial[go]
+            if not go.all():
+                if not go.any():
+                    break
+                live, r2_l, b_l = live[go], r2_l[go], b_l[go]
+            step = step[go] * 4.0
+        live, r2_l, b_l = np.arange(rows), r2, bound_sq
+        mu_l, wr2 = mu.copy(), w * r2
+        for _ in range(40):
+            denom = 1.0 + mu_l[:, None] * w
+            d2 = denom * denom
+            val = (r2_l / d2).sum(axis=1) - b_l
+            slope = -2.0 * (wr2 / (d2 * denom)).sum(axis=1)
+            mu_new = mu_l - val / slope
+            # A zero slope, where (1 + mu w)^3 overflowed, gives a non-finite
+            # step, which stops the row where it is.
+            go = ~(val <= b_l * 1e-13) & np.isfinite(mu_new) & ~(mu_new <= mu_l * (1.0 + 1e-15))
+            mu[live[go]] = mu_new[go]
+            if not go.all():
+                if not go.any():
+                    break
+                live, r2_l, b_l, wr2 = live[go], r2_l[go], b_l[go], wr2[go]
+            mu_l = mu_new[go]
     return mu
 
 
 def _project_source(z: np.ndarray, c: np.ndarray, k_sq: float) -> np.ndarray:
     cz2 = c * z * z
-    if float(cz2.sum()) <= k_sq:
+    over = ~(cz2.sum(axis=1) <= k_sq)
+    if not over.any():
         return z
-    mu = _shrink_root(cz2, c, k_sq)
-    return z / (1.0 + mu * c)
+    mu = _shrink_root(cz2[over], c, k_sq)
+    z = z.copy()
+    z[over] = z[over] / (1.0 + mu[:, None] * c)
+    return z
 
 
 def _project_data(z: np.ndarray, sigma: np.ndarray, s: np.ndarray, g: np.ndarray,
-                  delta_sq: float) -> np.ndarray:
+                  delta_sq: np.ndarray) -> np.ndarray:
     r = sigma * z - g
-    if float((r * r).sum()) <= delta_sq:
+    r2 = r * r
+    over = ~(r2.sum(axis=1) <= delta_sq)
+    if not over.any():
         return z
-    nu = _shrink_root(r * r, s, delta_sq)
-    return (z + nu * sigma * g) / (1.0 + nu * s)
+    nu = _shrink_root(r2[over], s, delta_sq[over])[:, None]
+    z = z.copy()
+    z[over] = (z[over] + nu * sigma * g[over]) / (1.0 + nu * s)
+    return z
 
 
 def _project_intersection(z0, c, k_sq, sigma, s, g, delta_sq, sweeps=10, tol=1e-11):
-    """Dykstra alternating projections onto the two ellipsoids."""
-    if _feasible(z0, c, k_sq, sigma, g, delta_sq, slack=0.0):
-        return z0
-    z = z0.copy()
+    """Dykstra alternating projections onto the two ellipsoids, per row."""
+    out = z0.copy()
+    live = np.flatnonzero(~_feasible(z0, c, k_sq, sigma, g, delta_sq, slack=0.0))
+    z, g, delta_sq = z0[live], g[live], delta_sq[live]
     p = np.zeros_like(z)
     q = np.zeros_like(z)
     for _ in range(sweeps):
+        if not live.size:
+            break
         y = _project_source(z + p, c, k_sq)
         p += z - y
         z_new = _project_data(y + q, sigma, s, g, delta_sq)
         q += y - z_new
-        if float(np.max(np.abs(z_new - z))) < tol:
-            z = z_new
-            break
+        done = np.max(np.abs(z_new - z), axis=1) < tol
         z = z_new
-    return z
+        if done.any():
+            out[live[done]] = z[done]
+            keep = ~done
+            live, z, p, q, g, delta_sq = (
+                live[keep], z[keep], p[keep], q[keep], g[keep], delta_sq[keep])
+    out[live] = z
+    return out
 
 
-def _feasible(z, c, k_sq, sigma, g, delta_sq, slack=1e-9) -> bool:
+def _feasible(z, c, k_sq, sigma, g, delta_sq, slack=1e-9) -> np.ndarray:
     r = sigma * z - g
     return (
-        float((c * z * z).sum()) <= k_sq * (1.0 + slack)
-        and float((r * r).sum()) <= delta_sq * (1.0 + slack) + 1e-300
+        ((c * z * z).sum(axis=1) <= k_sq * (1.0 + slack))
+        & ((r * r).sum(axis=1) <= delta_sq * (1.0 + slack) + 1e-300)
     )
 
 
-def worst_case_search(
-    svd: SvdTriple,
-    source: SourceSpec,
-    f_delta: np.ndarray,
-    delta: float,
-    a: float,
-    restarts: int = 32,
-    seed: int = 0,
-    iters: int = 40,
-) -> float:
-    """Lower estimate of sup ||r - y|| over admissible y.
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Row norms through the BLAS dot np.linalg.norm uses on each row."""
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
-    r is the regularized solution for f_delta; y ranges over the source set
-    intersected with the data ball of radius delta.  Multi-start projected
-    gradient ascent; at n = 1 the feasible set is an interval and the
-    distance to rho, convex along it, peaks at one of its ends, so the
-    result is exact there.  Raises InfeasibleError when no y satisfies both
-    constraints.
+
+def _objective(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    d = z - rho
+    return np.sqrt((d * d).sum(axis=1))
+
+
+@dataclass(frozen=True)
+class _Search:
+    """One search in positive-mode coordinates, with its unprojected starts."""
+
+    g: np.ndarray
+    rho: np.ndarray
+    anchor: np.ndarray
+    delta_sq: float
+    scale: float
+    starts: np.ndarray  # (restarts, n); row 0 is the anchor
+    rng: np.random.Generator
+
+
+def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
+    """Set up one search, or return its value where no ascent is needed.
+
+    Raises InfeasibleError when no y satisfies both constraints.
     """
     if not 0.0 < delta < np.inf:
         raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
@@ -351,62 +394,120 @@ def worst_case_search(
             raise InfeasibleError("feasible interval is empty")
         return float(max(abs(lo - rho[0]), abs(hi - rho[0])))
 
-    def objective(z):
-        d = z - rho
-        return float(np.sqrt((d * d).sum()))
-
-    # Loose projections steer the ascent cheaply; only the final point is
-    # projected tightly and feasibility-checked before its value counts.
-    def project_loose(z):
-        return _project_intersection(z, c, k_sq, sigma, s, g, delta_eff_sq, sweeps=3, tol=1e-8)
-
-    def project_tight(z):
-        return _project_intersection(z, c, k_sq, sigma, s, g, delta_eff_sq, sweeps=30, tol=1e-12)
-
+    rows = max(restarts, 1)
     starts = [anchor]
     # Push along the most noise-amplified direction first.
     j_star = int(np.argmax(sigma / (s + a)))
     for sign in (1.0, -1.0):
         e = anchor.copy()
         e[j_star] = sign * source.k_p * s[j_star] ** source.p
-        starts.append(project_loose(e))
+        starts.append(e)
     rng = rng_from(seed)
-    while len(starts) < max(restarts, 1):
+    while len(starts) < rows:
         d = rng.standard_normal(sigma.size)
         r = source.k_p * s**source.p * d / max(float(np.linalg.norm(d)), 1e-300)
-        starts.append(project_loose(anchor + r))
+        starts.append(anchor + r)
 
     scale = max(float(np.linalg.norm(anchor - rho)), source.k_p * float(np.max(s**source.p)), 1e-12)
-    best = 0.0
-    for z0 in starts[: max(restarts, 1)]:
-        z = z0
-        val = objective(z)
-        step = 0.5
-        for _ in range(iters):
-            d = z - rho
-            nd = float(np.linalg.norm(d))
-            if nd < 1e-15 * scale:
-                d = rng.standard_normal(sigma.size)
-                nd = float(np.linalg.norm(d))
-            cand = project_loose(z + (step * scale / nd) * d)
-            v = objective(cand)
-            if v > val * (1.0 + 1e-14):
-                z, val = cand, v
-                step *= 1.4
-            else:
-                step *= 0.4
-                if step < 1e-9:
-                    break
-        z = project_tight(z)
-        # Soundness: only count the point if it is feasible (shrink toward the
-        # strictly feasible anchor when projections left round-off violations).
-        t = 1.0
-        while not _feasible(z, c, k_sq, sigma, g, delta_eff_sq) and t > 1e-6:
-            t *= 0.5
-            z = anchor + t * (z - anchor)
-        if _feasible(z, c, k_sq, sigma, g, delta_eff_sq):
-            best = max(best, objective(z))
-    return best
+    return _Search(g, rho, anchor, delta_eff_sq, scale, np.array(starts[:rows]), rng)
+
+
+def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search],
+            iters: int) -> list[float]:
+    """Run every restart of every search as one row; each search's best value.
+
+    A row whose ascent direction vanishes (distance to rho below 1e-15 of
+    the scale) is redirected along a standard normal draw from its search's
+    generator; the rows that need one within a step draw in row order.
+    """
+    if not searches:
+        return []
+    pos = svd.sigma > 0.0
+    sigma, s = svd.sigma[pos], svd.s[pos]
+    c = s ** (-2.0 * source.p)
+    k_sq = source.k_p**2
+    owner = np.repeat(np.arange(len(searches)), [len(x.starts) for x in searches])
+    g = np.stack([x.g for x in searches])[owner]
+    rho = np.stack([x.rho for x in searches])[owner]
+    anchor = np.stack([x.anchor for x in searches])[owner]
+    delta_sq = np.array([x.delta_sq for x in searches])[owner]
+    scale = np.array([x.scale for x in searches])[owner]
+    z = np.concatenate([x.starts for x in searches])
+
+    # Loose projections steer the ascent cheaply; only the final point is
+    # projected tightly and feasibility-checked before its value counts.
+    def project(z, rows, sweeps, tol):
+        return _project_intersection(z, c, k_sq, sigma, s, g[rows], delta_sq[rows], sweeps, tol)
+
+    # Every start but the anchor (each search's first row) is projected.
+    pushed = np.flatnonzero(np.r_[False, owner[1:] == owner[:-1]])
+    z[pushed] = project(z[pushed], pushed, 3, 1e-8)
+
+    live = np.arange(len(z))
+    zl, rho_l, scale_l = z.copy(), rho, scale
+    val = _objective(zl, rho_l)
+    step = np.full(len(z), 0.5)
+    for _ in range(iters):
+        d = zl - rho_l
+        nd = _norms(d)
+        for i in np.flatnonzero(nd < 1e-15 * scale_l):
+            d[i] = searches[owner[live[i]]].rng.standard_normal(sigma.size)
+            nd[i] = np.linalg.norm(d[i])
+        cand = project(zl + ((step * scale_l) / nd)[:, None] * d, live, 3, 1e-8)
+        v = _objective(cand, rho_l)
+        up = v > val * (1.0 + 1e-14)
+        zl[up], val[up] = cand[up], v[up]
+        step = np.where(up, step * 1.4, step * 0.4)
+        done = step < 1e-9
+        if done.any():
+            z[live[done]] = zl[done]
+            keep = ~done
+            live, zl, val, step, rho_l, scale_l = (
+                live[keep], zl[keep], val[keep], step[keep], rho_l[keep], scale_l[keep])
+            if not live.size:
+                break
+    z[live] = zl
+
+    z = project(z, np.arange(len(z)), 30, 1e-12)
+    # Soundness: only count a point if it is feasible (shrink toward the
+    # strictly feasible anchor when projections left round-off violations).
+    t = np.ones(len(z))
+    live = np.flatnonzero(~_feasible(z, c, k_sq, sigma, g, delta_sq))
+    while live.size:
+        t[live] *= 0.5
+        z[live] = anchor[live] + t[live, None] * (z[live] - anchor[live])
+        ok = _feasible(z[live], c, k_sq, sigma, g[live], delta_sq[live])
+        live = live[~ok & (t[live] > 1e-6)]
+    ok = _feasible(z, c, k_sq, sigma, g, delta_sq)
+    values = _objective(z, rho)
+    return [max([0.0, *(float(v) for v in values[(owner == i) & ok])])
+            for i in range(len(searches))]
+
+
+def worst_case_search(
+    svd: SvdTriple,
+    source: SourceSpec,
+    f_delta: np.ndarray,
+    delta: float,
+    a: float,
+    restarts: int = 32,
+    seed: int = 0,
+    iters: int = 40,
+) -> float:
+    """Lower estimate of sup ||r - y|| over admissible y.
+
+    r is the regularized solution for f_delta; y ranges over the source set
+    intersected with the data ball of radius delta.  Multi-start projected
+    gradient ascent, with the restarts run together as the rows of one
+    array (see _ascend); at n = 1 the feasible set is an interval and the
+    distance to rho, convex along it, peaks at one of its ends, so the
+    result is exact there.  Raises InfeasibleError when no y satisfies both
+    constraints.
+    """
+    search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
+    if isinstance(search, float):
+        return search
+    return _ascend(svd, source, [search], iters)[0]
 
 
 def certify(
@@ -424,8 +525,11 @@ def certify(
     source-set member y and a noise vector with ||e|| <= delta (the first
     trial uses the most noise-amplified singular direction); the recorded
     empirical lower bound is the max of worst_case_search over trials.
-    Results are identical for any thread count: every (delta, trial) task is
-    seeded independently and reduced in index order.
+    The (delta, trial) tasks run in blocks of whole tasks, every restart of
+    a block as one row of its arrays, and `threads` workers take the blocks.
+    Results are identical for any thread count and block size: every task is
+    seeded independently, every row runs on its own, and values are reduced
+    in index order.
     """
     if not len(deltas):
         raise InvalidParameterError("deltas must be non-empty")
@@ -437,7 +541,7 @@ def certify(
     pack = constants(source)
     p, k = source.p, source.k_p
 
-    def one_trial(di: int, ti: int) -> float:
+    def one_trial(di: int, ti: int) -> _Search | float:
         delta = float(deltas[di])
         a = choose_a(delta, source)
         rng = rng_from(seed, di, ti)
@@ -449,17 +553,23 @@ def certify(
             d = rng.standard_normal(tri.n)
             e = delta * d / max(float(np.linalg.norm(d)), 1e-300)
         f_delta = matrix @ y + e
-        return worst_case_search(
-            tri, source, f_delta, delta, a,
-            restarts=restarts, seed=int(rng.integers(0, 2**63)), iters=30,
+        return _prepare(
+            tri, source, f_delta, delta, a, restarts, seed=int(rng.integers(0, 2**63))
         )
 
+    def one_block(block: list[tuple[int, int]]) -> list[float]:
+        items = [one_trial(di, ti) for di, ti in block]
+        found = iter(_ascend(tri, source, [x for x in items if isinstance(x, _Search)], 30))
+        return [x if isinstance(x, float) else next(found) for x in items]
+
     tasks = [(di, ti) for di in range(len(deltas)) for ti in range(trials)]
+    per_block = max(1, _SEARCH_BLOCK // (max(restarts, 1) * tri.n))
+    blocks = [tasks[i:i + per_block] for i in range(0, len(tasks), per_block)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda dt: one_trial(*dt), tasks))
+            values = [v for block in pool.map(one_block, blocks) for v in block]
     else:
-        values = [one_trial(*dt) for dt in tasks]
+        values = [v for block in blocks for v in one_block(block)]
 
     certs = []
     for di, delta in enumerate(deltas):

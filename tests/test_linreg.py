@@ -22,7 +22,9 @@ from regcert.errors import (
     InvalidParameterError,
     InvalidSourceError,
 )
+from regcert import linreg
 from regcert.cli import run
+from regcert.seeding import rng_from
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms.
 CONSTS_P025_K1 = (0.56987676423869441, 2.1165347359575993, 1.0310472277489520)
@@ -270,6 +272,108 @@ class TestWorstCaseSearch:
         assert got <= j1 + j2 + 1e-9
 
 
+def _shrink_root_reference(r2, w, bound_sq):
+    """The one-row secular root the row-wise _shrink_root replaced, kept as
+    the reference its rows must equal bit for bit."""
+    wr2 = w * r2
+
+    def val_at(mu_):
+        return float((r2 / (1.0 + mu_ * w) ** 2).sum()) - bound_sq
+
+    mu = 0.0
+    step = 1.0
+    for _ in range(340):
+        trial = mu + step
+        if trial < 1e200 and val_at(trial) > 0.0:
+            mu = trial
+            step *= 4.0
+        else:
+            break
+    for _ in range(40):
+        denom = 1.0 + mu * w
+        d2 = denom * denom
+        val = float((r2 / d2).sum()) - bound_sq
+        if val <= bound_sq * 1e-13:
+            break
+        slope = -2.0 * float((wr2 / (d2 * denom)).sum())
+        mu_new = mu - val / slope
+        if not np.isfinite(mu_new) or mu_new <= mu * (1.0 + 1e-15):
+            break
+        mu = mu_new
+    return mu
+
+
+class TestShrinkRoot:
+    N = 37
+
+    def _check(self, r2, w, bound):
+        got = linreg._shrink_root(r2, w, bound)
+        with np.errstate(over="ignore", under="ignore"):
+            want = [_shrink_root_reference(r2[i], w, float(bound[i])) for i in range(len(r2))]
+        assert got.tolist() == want
+        return want
+
+    def _ordinary(self, rng, rows):
+        w = 10.0 ** rng.uniform(-3, 3, self.N)
+        r2 = rng.uniform(0.0, 1.0, (rows, self.N))
+        bound = r2.sum(axis=1) * rng.uniform(0.01, 0.9, rows)
+        return r2, w, bound
+
+    def _far(self, rng, rows):
+        w = 10.0 ** rng.uniform(-9, -7, self.N)
+        r2 = rng.uniform(0.5, 1.0, (rows, self.N))
+        return r2, w, np.full(rows, 1e-10)
+
+    def test_ordinary_rows(self, rng):
+        self._check(*self._ordinary(rng, 40))
+
+    def test_far_roots_run_a_long_pre_phase(self, rng):
+        want = self._check(*self._far(rng, 12))
+        # After k doubling steps mu = (4^k - 1)/3, and the root lies beyond.
+        assert min(want) > (4.0**21 - 1.0) / 3.0
+
+    def test_zero_bound_is_huge_but_finite(self, rng):
+        # Weights this small keep the Newton slope finite and nonzero past the
+        # 1e200 cap on the doubling pre-phase.
+        r2, _, _ = self._ordinary(rng, 8)
+        w = 10.0 ** rng.uniform(-160, -155, self.N)
+        want = self._check(r2, w, np.zeros(8))
+        assert all(np.isfinite(want)) and min(want) > 1e199
+
+    def test_zero_slope_stops_the_row(self, rng):
+        # With ordinary weights and a zero bound, (1 + mu w)^3 overflows while
+        # the residual is still positive: the one-row reference divides by a
+        # zero slope (ZeroDivisionError); a row stops there instead.
+        r2, w, _ = self._ordinary(rng, 4)
+        with pytest.raises(ZeroDivisionError), np.errstate(over="ignore"):
+            _shrink_root_reference(r2[0], w, 0.0)
+        got = linreg._shrink_root(r2, w, np.zeros(4))
+        assert np.all(np.isfinite(got)) and np.all(got > 1e100)
+
+    def test_rows_inside_the_bound_stay_put(self, rng):
+        r2, w, _ = self._ordinary(rng, 8)
+        assert self._check(r2, w, r2.sum(axis=1) * 1.5) == [0.0] * 8
+
+    def test_mixed_rows_in_one_call(self, rng):
+        # Ordinary, far, zero-bound and inside rows, shuffled, under one w
+        # whose three tiny weights keep the far and zero-bound roots finite.
+        r2, _, bound = self._ordinary(rng, 6)
+        far_r2, _, far_bound = self._far(rng, 6)
+        rows = np.concatenate([r2, far_r2, r2[:3], r2[:4]])
+        bounds = np.concatenate([bound, far_bound, np.zeros(3), r2[:4].sum(axis=1) * 2.0])
+        order = rng.permutation(len(rows))
+        w = 10.0 ** np.concatenate([rng.uniform(-160, -155, 3), rng.uniform(-9, 3, self.N - 3)])
+        want = self._check(rows[order], w, bounds[order])
+        assert want.count(0.0) == 4 and max(want) > 1e199
+
+
+def test_row_norms_match_the_one_row_norm(rng):
+    for n in (1, 2, 7, 64, 255, 1024):
+        d = rng.standard_normal((20, n)) * 10.0 ** rng.uniform(-8, 8, (20, 1))
+        assert linreg._norms(d).tolist() == [float(np.linalg.norm(row)) for row in d]
+        assert (d * d).sum(axis=1).tolist() == [float((row * row).sum()) for row in d]
+
+
 class TestCertify:
     def test_chain_and_pass(self):
         certs = certify(
@@ -306,6 +410,55 @@ class TestCertify:
             ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4], threads=8, **kwargs
         )
         assert c1 == c8
+
+    # empirical_lower values pinned from the one-task-at-a-time search that
+    # the row-wise blocks replaced.  "one-per-block" holds a single task per
+    # block (restarts * n exceeds the block budget).
+    PINNED = {
+        "diagonal-24": (
+            (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4],
+             dict(trials=6, seed=17)),
+            [0.18671049181890476, 0.015064355508835316],
+        ),
+        "volterra-64": (
+            (ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4],
+             dict(trials=8, seed=42)),
+            [0.07628707782663376, 0.026188491717579705, 0.008177411217103815],
+        ),
+        "one-per-block": (
+            (ProblemSpec("volterra", 64), SourceSpec(0.75, 1.0), [1e-3, 1e-1],
+             dict(trials=3, seed=5, restarts=160)),
+            [0.01363577988282692, 0.1401956470486567],
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_lower_bounds(self, case, threads):
+        (problem, src, deltas, kwargs), want = self.PINNED[case]
+        if case == "one-per-block":
+            assert linreg._SEARCH_BLOCK // (kwargs["restarts"] * problem.n) == 0
+        certs = certify(problem, src, deltas, threads=threads, **kwargs)
+        assert [c.empirical_lower for c in certs] == want
+
+    def test_task_value_independent_of_its_block(self, rng):
+        m, tri = make_problem(ProblemSpec("volterra", 48))
+        src = SourceSpec(0.5, 1.0)
+
+        def searches():
+            out = []
+            for i, delta in enumerate([1e-1, 1e-2, 1e-3, 1e-4, 1e-5]):
+                y = sample_source_set(tri, src, 1, seed=i)[0]
+                e = rng_from(3, i).standard_normal(48)
+                e *= delta / np.linalg.norm(e)
+                a = choose_a(delta, src)
+                out.append(linreg._prepare(tri, src, m @ y + e, delta, a, 3 + i, seed=i))
+            return out
+
+        together = linreg._ascend(tri, src, searches(), 30)
+        alone = [linreg._ascend(tri, src, [x], 30)[0] for x in searches()]
+        assert together == alone
+        assert linreg._ascend(tri, src, searches()[::-1], 30) == together[::-1]
 
     def test_empirical_slope_tracks_rate(self):
         src = SourceSpec(0.5, 1.0)
