@@ -92,6 +92,11 @@ def choose_a(delta: float, source: SourceSpec) -> float:
     return float(pack.b_p * delta ** (2.0 / (2.0 * source.p + 1.0)))
 
 
+def _check_a(a: float) -> None:
+    if not 0.0 < a < np.inf:
+        raise InvalidParameterError(f"regularization parameter must be positive and finite, got {a}")
+
+
 def _filter(svd: SvdTriple, a: float) -> np.ndarray:
     return svd.sigma / (svd.s + a)
 
@@ -102,8 +107,7 @@ def apply(svd: SvdTriple, f_delta: np.ndarray, a: float) -> np.ndarray:
     This is the exact finite-dimensional (T + aI)^{-1} A^T; the output has no
     component on null-space modes, so it converges to the normal solution.
     """
-    if a <= 0.0:
-        raise InvalidParameterError(f"regularization parameter must be positive, got {a}")
+    _check_a(a)
     f_delta = np.asarray(f_delta, dtype=float)
     if f_delta.shape != (svd.n,):
         raise InvalidParameterError(
@@ -114,8 +118,7 @@ def apply(svd: SvdTriple, f_delta: np.ndarray, a: float) -> np.ndarray:
 
 def operator_norm(svd: SvdTriple, a: float) -> float:
     """max_i sigma_i/(s_i + a); never exceeds 1/(2 sqrt(a))."""
-    if a <= 0.0:
-        raise InvalidParameterError(f"regularization parameter must be positive, got {a}")
+    _check_a(a)
     return float(np.max(_filter(svd, a))) if svd.n else 0.0
 
 
@@ -167,8 +170,7 @@ def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
     Equals k_p * max_i a s_i^p/(s_i + a); bounded by c_p k_p a^p, with
     equality when some s_i hits the maximizer p a/(1 - p).
     """
-    if a <= 0.0:
-        raise InvalidParameterError(f"regularization parameter must be positive, got {a}")
+    _check_a(a)
     s = svd.s[svd.sigma > 0.0]
     if s.size == 0:
         return 0.0
@@ -186,54 +188,50 @@ def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
 #
 # Every routine below acts on an (R, n) array of rows.  A row is one ascent:
 # one restart of one search, where a search is one f_delta (one certify task).
-# Each row does the arithmetic a lone 1-D ascent would do, bit for bit: a row
-# sum of a C-contiguous array is the same pairwise sum as a 1-D .sum(), and a
-# stacked (1, n) @ (n, 1) matmul is the same BLAS dot as np.linalg.norm.  Each
-# loop drops a row from its working arrays as soon as the row meets its own
-# stopping test, so a row's result never depends on which other rows share
-# its array.  certify runs its searches in blocks of whole searches of about
+# A row's result never depends on its neighbours: a row sum of a C-contiguous
+# array is the same pairwise sum whatever the other rows hold, a stacked
+# (1, n) @ (n, 1) matmul is one BLAS dot per row, and each loop drops a row
+# from its working arrays as soon as the row meets its own stopping test.
+# certify runs its searches in blocks of whole searches of about
 # _SEARCH_BLOCK elements each; the budget bounds the working arrays' memory.
 
 _SEARCH_BLOCK = 1 << 13
 
 
-def _shrink_root(r2: np.ndarray, w: np.ndarray, bound_sq) -> np.ndarray:
-    """Solve sum_j r2_ij/(1 + mu_i w_j)^2 = bound_sq_i for mu_i >= 0, per row.
+def _secular_start(r2: np.ndarray, w: np.ndarray, bound_sq: np.ndarray) -> np.ndarray:
+    """Per row max(0, max_j (sqrt(r2_ij/bound_sq_i) - 1)/w_j), capped at 1e200.
 
-    r2 is (R, n), w is (n,) and bound_sq a scalar or (R,).  The left side is
-    convex and decreasing in mu, so Newton from any point left of the root
-    increases monotonically to it; a doubling pre-phase keeps the start close
-    for far roots.
+    There the largest term alone equals bound_sq, so the start is left of
+    the root; fmax skips the 0/0 of a zero entry under a zero bound.
+    """
+    ratio = (np.sqrt(r2 / bound_sq[:, None]) - 1.0) / w
+    return np.minimum(np.fmax.reduce(ratio, axis=1, initial=0.0), 1e200)
+
+
+def _shrink_root(r2: np.ndarray, w: np.ndarray, bound_sq) -> np.ndarray:
+    """Solve phi_i(mu) = sum_j r2_ij/(1 + mu w_j)^2 = bound_sq_i for mu >= 0, per row.
+
+    r2 is (R, n), w is (n,) and bound_sq a scalar or (R,).  Newton runs on
+    the reciprocal form phi^(-1/2) = bound_sq^(-1/2) (More & Sorensen 1983),
+    which is concave and increasing in mu, so from _secular_start, left of
+    the root, it rises monotonically to it.  A zero bound (root at infinity)
+    keeps the capped start.
     """
     rows = r2.shape[0]
     bound_sq = np.broadcast_to(np.asarray(bound_sq, dtype=float), (rows,))
-    mu = np.zeros(rows)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # Doubling pre-phase: advance while still strictly left of the root.
-        # Capped so a zero bound (root at infinity) degrades to a huge but
-        # finite multiplier, which the closed-form shrink handles gracefully.
-        live, r2_l, b_l = np.arange(rows), r2, bound_sq
-        step = np.ones(rows)
-        for _ in range(340):
-            trial = mu[live] + step
-            val = (r2_l / (1.0 + trial[:, None] * w) ** 2).sum(axis=1) - b_l
-            go = (trial < 1e200) & (val > 0.0)
-            mu[live[go]] = trial[go]
-            if not go.all():
-                if not go.any():
-                    break
-                live, r2_l, b_l = live[go], r2_l[go], b_l[go]
-            step = step[go] * 4.0
+        mu = _secular_start(r2, w, bound_sq)
         live, r2_l, b_l = np.arange(rows), r2, bound_sq
         mu_l, wr2 = mu.copy(), w * r2
         for _ in range(40):
             denom = 1.0 + mu_l[:, None] * w
             d2 = denom * denom
-            val = (r2_l / d2).sum(axis=1) - b_l
+            phi = (r2_l / d2).sum(axis=1)
             slope = -2.0 * (wr2 / (d2 * denom)).sum(axis=1)
-            mu_new = mu_l - val / slope
-            # A zero slope, where (1 + mu w)^3 overflowed, gives a non-finite
-            # step, which stops the row where it is.
+            mu_new = mu_l - 2.0 * (phi / slope) * (np.sqrt(phi / b_l) - 1.0)
+            # A zero bound, or a zero slope where (1 + mu w)^3 overflowed,
+            # gives a non-finite step, which stops the row where it is.
+            val = phi - b_l
             go = ~(val <= b_l * 1e-13) & np.isfinite(mu_new) & ~(mu_new <= mu_l * (1.0 + 1e-15))
             mu[live[go]] = mu_new[go]
             if not go.all():
@@ -331,8 +329,7 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
     """
     if not 0.0 < delta < np.inf:
         raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
-    if a <= 0.0:
-        raise InvalidParameterError(f"regularization parameter must be positive, got {a}")
+    _check_a(a)
     f_delta = np.asarray(f_delta, dtype=float)
     g_full = svd.u.T @ f_delta
     rho_full = _filter(svd, a) * g_full
@@ -394,7 +391,6 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
             raise InfeasibleError("feasible interval is empty")
         return float(max(abs(lo - rho[0]), abs(hi - rho[0])))
 
-    rows = max(restarts, 1)
     starts = [anchor]
     # Push along the most noise-amplified direction first.
     j_star = int(np.argmax(sigma / (s + a)))
@@ -403,13 +399,13 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
         e[j_star] = sign * source.k_p * s[j_star] ** source.p
         starts.append(e)
     rng = rng_from(seed)
-    while len(starts) < rows:
+    while len(starts) < restarts:
         d = rng.standard_normal(sigma.size)
         r = source.k_p * s**source.p * d / max(float(np.linalg.norm(d)), 1e-300)
         starts.append(anchor + r)
 
     scale = max(float(np.linalg.norm(anchor - rho)), source.k_p * float(np.max(s**source.p)), 1e-12)
-    return _Search(g, rho, anchor, delta_eff_sq, scale, np.array(starts[:rows]), rng)
+    return _Search(g, rho, anchor, delta_eff_sq, scale, np.array(starts[:restarts]), rng)
 
 
 def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search],
@@ -492,7 +488,6 @@ def worst_case_search(
     a: float,
     restarts: int = 32,
     seed: int = 0,
-    iters: int = 40,
 ) -> float:
     """Lower estimate of sup ||r - y|| over admissible y.
 
@@ -504,10 +499,12 @@ def worst_case_search(
     result is exact there.  Raises InfeasibleError when no y satisfies both
     constraints.
     """
+    if restarts < 1:
+        raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
     search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
     if isinstance(search, float):
         return search
-    return _ascend(svd, source, [search], iters)[0]
+    return _ascend(svd, source, [search], 40)[0]
 
 
 def certify(
@@ -537,6 +534,8 @@ def certify(
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    if restarts < 1:
+        raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
     matrix, tri = make_problem(problem)
     pack = constants(source)
     p, k = source.p, source.k_p
@@ -563,7 +562,7 @@ def certify(
         return [x if isinstance(x, float) else next(found) for x in items]
 
     tasks = [(di, ti) for di in range(len(deltas)) for ti in range(trials)]
-    per_block = max(1, _SEARCH_BLOCK // (max(restarts, 1) * tri.n))
+    per_block = max(1, _SEARCH_BLOCK // (restarts * tri.n))
     blocks = [tasks[i:i + per_block] for i in range(0, len(tasks), per_block)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

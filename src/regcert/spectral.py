@@ -63,8 +63,8 @@ class ProblemSpec:
             raise InvalidMatrixError(
                 f"unknown problem kind {self.kind!r}; choose one of {PROBLEM_KINDS}"
             )
-        if self.n < 1:
-            raise InvalidMatrixError(f"dimension must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_DENSE_N:
+            raise InvalidMatrixError(f"dimension must lie in [1, {MAX_DENSE_N}], got {self.n}")
         if self.kind == "volterra" and self.n < 3:
             raise InvalidMatrixError("volterra problem needs n >= 3")
         if self.kind != "volterra" and not self.q > 0.0:

@@ -106,9 +106,16 @@ class TestApply:
         assert np.all(np.abs(coef[tri.sigma == 0.0]) <= 1e-12)
 
     def test_bad_a(self):
-        tri = svd(np.eye(2))
-        with pytest.raises(InvalidParameterError):
-            apply(tri, np.zeros(2), 0.0)
+        tri, src = svd(np.eye(2)), SourceSpec(0.5, 1.0)
+        for a in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                apply(tri, np.zeros(2), a)
+            with pytest.raises(InvalidParameterError):
+                operator_norm(tri, a)
+            with pytest.raises(InvalidParameterError):
+                bias_sup(tri, src, a)
+            with pytest.raises(InvalidParameterError):
+                worst_case_search(tri, src, np.zeros(2), 0.1, a)
 
 
 class TestOperatorNorm:
@@ -273,8 +280,8 @@ class TestWorstCaseSearch:
 
 
 def _shrink_root_reference(r2, w, bound_sq):
-    """The one-row secular root the row-wise _shrink_root replaced, kept as
-    the reference its rows must equal bit for bit."""
+    """One-row secular root by a doubling search and Newton on the sum itself:
+    the reference the closed-form start and reciprocal Newton must match."""
     wr2 = w * r2
 
     def val_at(mu_):
@@ -303,6 +310,12 @@ def _shrink_root_reference(r2, w, bound_sq):
     return mu
 
 
+def _phi(r2, w, mu):
+    with np.errstate(over="ignore"):
+        denom = 1.0 + mu * w
+        return float((r2 / (denom * denom)).sum())
+
+
 class TestShrinkRoot:
     N = 37
 
@@ -310,7 +323,13 @@ class TestShrinkRoot:
         got = linreg._shrink_root(r2, w, bound)
         with np.errstate(over="ignore", under="ignore"):
             want = [_shrink_root_reference(r2[i], w, float(bound[i])) for i in range(len(r2))]
-        assert got.tolist() == want
+        for i, (mu, ref) in enumerate(zip(got.tolist(), want)):
+            if bound[i] == 0.0:
+                assert np.isfinite(mu) and mu > 1e199
+                continue
+            assert abs(mu - ref) <= 1e-11 * ref
+            if mu > 0.0:
+                assert abs(_phi(r2[i], w, mu) - bound[i]) <= 1e-13 * bound[i]
         return want
 
     def _ordinary(self, rng, rows):
@@ -329,16 +348,16 @@ class TestShrinkRoot:
 
     def test_far_roots_run_a_long_pre_phase(self, rng):
         want = self._check(*self._far(rng, 12))
-        # After k doubling steps mu = (4^k - 1)/3, and the root lies beyond.
+        # The reference's doubling search ran more than 20 steps here:
+        # after k steps mu = (4^k - 1)/3, and the root lies beyond.
         assert min(want) > (4.0**21 - 1.0) / 3.0
 
     def test_zero_bound_is_huge_but_finite(self, rng):
-        # Weights this small keep the Newton slope finite and nonzero past the
-        # 1e200 cap on the doubling pre-phase.
+        # Weights this small keep the reference's Newton slope finite and
+        # nonzero past its 1e200 cap.
         r2, _, _ = self._ordinary(rng, 8)
         w = 10.0 ** rng.uniform(-160, -155, self.N)
-        want = self._check(r2, w, np.zeros(8))
-        assert all(np.isfinite(want)) and min(want) > 1e199
+        self._check(r2, w, np.zeros(8))
 
     def test_zero_slope_stops_the_row(self, rng):
         # With ordinary weights and a zero bound, (1 + mu w)^3 overflows while
@@ -354,7 +373,7 @@ class TestShrinkRoot:
         r2, w, _ = self._ordinary(rng, 8)
         assert self._check(r2, w, r2.sum(axis=1) * 1.5) == [0.0] * 8
 
-    def test_mixed_rows_in_one_call(self, rng):
+    def _mixed(self, rng):
         # Ordinary, far, zero-bound and inside rows, shuffled, under one w
         # whose three tiny weights keep the far and zero-bound roots finite.
         r2, _, bound = self._ordinary(rng, 6)
@@ -363,8 +382,34 @@ class TestShrinkRoot:
         bounds = np.concatenate([bound, far_bound, np.zeros(3), r2[:4].sum(axis=1) * 2.0])
         order = rng.permutation(len(rows))
         w = 10.0 ** np.concatenate([rng.uniform(-160, -155, 3), rng.uniform(-9, 3, self.N - 3)])
-        want = self._check(rows[order], w, bounds[order])
+        return rows[order], w, bounds[order]
+
+    def test_mixed_rows_in_one_call(self, rng):
+        want = self._check(*self._mixed(rng))
         assert want.count(0.0) == 4 and max(want) > 1e199
+
+    def test_row_alone_equals_row_in_batch(self, rng):
+        r2, w, bound = self._mixed(rng)
+        together = linreg._shrink_root(r2, w, bound)
+        alone = [linreg._shrink_root(r2[i:i + 1], w, bound[i:i + 1])[0] for i in range(len(r2))]
+        assert together.tolist() == alone
+
+    def test_start_is_left_of_the_root(self, rng):
+        for make in (self._ordinary, self._far):
+            r2, w, bound = make(rng, 40)
+            start = linreg._secular_start(r2, w, bound)
+            assert np.all(start <= linreg._shrink_root(r2, w, bound))
+            assert all(_phi(r2[i], w, start[i]) >= bound[i] for i in range(len(r2)))
+        # The last batch, the far rows, starts far from 0, near the roots.
+        assert np.all(start > 1e9)
+
+    def test_zero_bound_with_zero_entries(self, rng):
+        r2, w, _ = self._ordinary(rng, 3)
+        r2[:, ::2] = 0.0
+        r2[2] = 0.0
+        got = linreg._shrink_root(r2, w, np.zeros(3))
+        assert np.all(np.isfinite(got[:2])) and np.all(got[:2] > 1e100)
+        assert got[2] == 0.0
 
 
 def test_row_norms_match_the_one_row_norm(rng):
@@ -412,8 +457,9 @@ class TestCertify:
         assert c1 == c8
 
     # empirical_lower values pinned from the one-task-at-a-time search that
-    # the row-wise blocks replaced.  "one-per-block" holds a single task per
-    # block (restarts * n exceeds the block budget).
+    # the row-wise blocks replaced; the secular root's closed-form start
+    # moves them in the last bits only.  "one-per-block" holds a single task
+    # per block (restarts * n exceeds the block budget).
     PINNED = {
         "diagonal-24": (
             (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4],
@@ -439,7 +485,7 @@ class TestCertify:
         if case == "one-per-block":
             assert linreg._SEARCH_BLOCK // (kwargs["restarts"] * problem.n) == 0
         certs = certify(problem, src, deltas, threads=threads, **kwargs)
-        assert [c.empirical_lower for c in certs] == want
+        assert [c.empirical_lower for c in certs] == pytest.approx(want, rel=1e-12)
 
     def test_task_value_independent_of_its_block(self, rng):
         m, tri = make_problem(ProblemSpec("volterra", 48))
@@ -480,6 +526,12 @@ class TestCertify:
         for threads in (0, -2):
             with pytest.raises(InvalidParameterError):
                 certify(spec, src, [1e-3], trials=1, threads=threads)
+        tri = svd(np.eye(2))
+        for restarts in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                certify(spec, src, [1e-3], trials=1, restarts=restarts)
+            with pytest.raises(InvalidParameterError):
+                worst_case_search(tri, src, np.zeros(2), 0.1, 0.1, restarts=restarts)
 
     def test_csv_rows(self, tmp_path):
         src = SourceSpec(0.5, 1.0)

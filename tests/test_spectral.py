@@ -3,7 +3,7 @@ import pytest
 
 from regcert import ProblemSpec, make_problem, svd
 from regcert.errors import InvalidMatrixError
-from regcert.spectral import volterra_matrix
+from regcert.spectral import MAX_DENSE_N, PROBLEM_KINDS, volterra_matrix
 
 
 def _check_triple(a, tri):
@@ -97,4 +97,8 @@ class TestGallery:
             ProblemSpec("diagonal", 8, q=0.0)
         with pytest.raises(InvalidMatrixError):
             ProblemSpec("diagonal", 0)
+        # Rejected before make_problem builds the n x n matrix.
+        for kind in PROBLEM_KINDS:
+            with pytest.raises(InvalidMatrixError):
+                ProblemSpec(kind, MAX_DENSE_N + 1)
 
