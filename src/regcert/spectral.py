@@ -95,11 +95,10 @@ def svd(a: np.ndarray) -> SvdTriple:
 def volterra_matrix(n: int) -> np.ndarray:
     """Trapezoid discretization of u -> integral of u from 0 to x on n nodes."""
     dx = 1.0 / (n - 1)
-    a = np.zeros((n, n))
-    for i in range(1, n):
-        a[i, 0] = 0.5 * dx
-        a[i, 1:i] = dx
-        a[i, i] = 0.5 * dx
+    a = np.tril(np.full((n, n), dx))
+    a[:, 0] = 0.5 * dx
+    np.fill_diagonal(a, 0.5 * dx)
+    a[0, 0] = 0.0
     return a
 
 

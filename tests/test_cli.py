@@ -193,6 +193,26 @@ class TestExitCodes:
             f_value = float(row[header.index("F_value")])
             assert f_value <= 2.0 * float(row[header.index("m_hat_bound_c1delta")])
 
+    def test_readme_varreg_examples_bytes(self, capsys):
+        # The README's varmin and study examples on stdout, pinned byte for
+        # byte: the row-wise descent must give every start its one-start bits.
+        assert run(["varmin", "--nonlinearity", "cubic", "--n", "4", "--delta", "1e-3"]) == 0
+        assert capsys.readouterr().out == (
+            "delta,F_value,m_hat,feasible,iterations,restarts\n"
+            "0.001,0.0010042064738435893,0.0010042064738435893,true,3632,32\n"
+        )
+        assert run(["study", "--nonlinearity", "cubic", "--n", "4",
+                    "--deltas", "1e-1:1e-5:log5"]) == 0
+        assert capsys.readouterr().out == (
+            "delta,F_value,m_hat_bound_c1delta,error_to_truth,feasible\n"
+            "0.1,0.07885818650289121,0.2,0.2562682302897976,true\n"
+            "0.01,0.010424442674395596,0.02,0.022727928131437224,true\n"
+            "0.001,0.001000998254208727,0.002,0.0021275164150334923,true\n"
+            "0.0001,9.995688058739658e-05,0.0002,0.00022682693992555139,true\n"
+            "9.999999999999999e-06,9.999833818366693e-06,1.9999999999999998e-05,"
+            "2.0824926144568076e-05,true\n"
+        )
+
 
 # Every subcommand with its noise-radius option last; the value is appended.
 _RADIUS_ARGV = {

@@ -57,6 +57,17 @@ class TestSvd:
         np.testing.assert_allclose(tri.s, [4.0, 0.25], rtol=1e-14)
 
 
+def _volterra_matrix_reference(n):
+    """The row-by-row trapezoid weights that volterra_matrix builds in closed form."""
+    dx = 1.0 / (n - 1)
+    a = np.zeros((n, n))
+    for i in range(1, n):
+        a[i, 0] = 0.5 * dx
+        a[i, 1:i] = dx
+        a[i, i] = 0.5 * dx
+    return a
+
+
 class TestGallery:
     def test_diagonal_exact(self):
         _, tri = make_problem(ProblemSpec("diagonal", 4, q=1.0))
@@ -77,6 +88,10 @@ class TestGallery:
         dx = 1.0 / (n - 1)
         manual = np.concatenate(([0.0], np.cumsum(0.5 * dx * (u[1:] + u[:-1]))))
         np.testing.assert_allclose(a @ u, manual, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 1024])
+    def test_volterra_equals_row_loop(self, n):
+        assert np.array_equal(volterra_matrix(n), _volterra_matrix_reference(n))
 
     def test_rotated_determinism(self):
         a1, _ = make_problem(ProblemSpec("rotated-diagonal", 24, q=0.7, seed=5))

@@ -10,13 +10,19 @@ from regcert import (
 )
 from regcert.errors import InfeasibleError, InvalidMatrixError, InvalidParameterError
 from regcert.seeding import rng_from
+from regcert import varreg
 from regcert.cli import _seeded_truth_in_ball, run
 from regcert.varreg import (
     FEAS_TOL,
     NonlinearProblem,
+    _descend,
     _gradient,
+    _norm,
+    _objective,
+    _project_cap,
     _sigma,
     _sigma_inverse,
+    noise_at_radius,
     phi,
 )
 
@@ -116,6 +122,162 @@ class TestGradient:
         assert np.array_equal(_gradient(prob, v, f), np.zeros(3))
 
 
+class TestShapeGeneric:
+    """One definition serves a vector and the rows of a stack, bit for bit.
+
+    The row-wise descent returns the one-start bits only while a stacked
+    matmul row equals the 1-D gemv and dot product; a numpy or BLAS change
+    that breaks this fails here before it moves any F_value.
+    """
+
+    @pytest.mark.parametrize("nonlinearity", ["identity", "cubic"])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_row_of_stack_equals_vector(self, nonlinearity, n):
+        prob = make_nonlinear_problem("rotated-diagonal", n, nonlinearity, phi_cap=1.0, seed=n)
+        rng = rng_from(80 + n)
+        stack = rng.standard_normal((12, n)) * np.logspace(-3, 1, 12)[:, None]
+        stack[1] = 0.0
+        f = prob.forward(stack[0])  # row 0 has zero residual, so the r = 0 branch runs
+        delta = 1e-2
+        b = prob.b
+        rows = {
+            "forward": prob.forward(stack),
+            "phi": phi(stack),
+            "functional": functional(prob, stack, f, delta),
+            "grad_sq": _gradient(prob, stack, f),
+            "grad_F": _gradient(prob, stack, f, delta),
+            "project": _project_cap(stack, prob.phi_cap),
+        }
+        # A stack of stacks, as the line search evaluates, gives the same rows.
+        deep = prob.forward(stack.reshape(3, 4, n)).reshape(12, n)
+        assert deep.tobytes() == rows["forward"].tobytes()
+        for i, v in enumerate(stack):
+            plain_forward = b @ _sigma(v, nonlinearity)
+            plain_phi = float(v @ v)
+            one = {
+                "forward": prob.forward(v),
+                "phi": phi(v),
+                "functional": functional(prob, v, f, delta),
+                "grad_sq": _gradient(prob, v, f),
+                "grad_F": _gradient(prob, v, f, delta),
+                "project": _project_cap(v, prob.phi_cap),
+            }
+            for key, value in one.items():
+                assert np.asarray(value).tobytes() == np.asarray(rows[key][i]).tobytes(), key
+            assert one["forward"].tobytes() == plain_forward.tobytes()
+            assert one["phi"] == plain_phi
+            assert one["functional"] == (
+                float(np.linalg.norm(plain_forward - f)) + delta * plain_phi)
+            assert one["project"].tobytes() == _project_cap_reference(v, prob.phi_cap).tobytes()
+
+    def test_squared_residual_is_python_float_power(self):
+        # The one-start objective squared a Python float, which is C pow;
+        # x * x differs from it in the last bit for about 1 value in 1300.
+        prob = make_nonlinear_problem("rotated-diagonal", 3, "cubic", phi_cap=1.0, seed=3)
+        rng = rng_from(83)
+        f = rng.standard_normal(3)
+        stack = rng.standard_normal((20000, 3))
+        norms = _norm(prob.forward(stack) - f)
+        want = np.array([float(x) ** 2 for x in norms])
+        assert np.any(norms * norms != want)
+        assert np.array_equal(_objective(prob, stack, f), want)
+
+
+def _project_cap_reference(v, cap):
+    """Radial projection of one vector into the phi ball, as it ran per start."""
+    r = float(v @ v)
+    if r <= cap:
+        return v
+    return v * np.sqrt(cap / r)
+
+
+def _descend_reference(fn, grad, v, cap, iters):
+    """One-start projected gradient descent with backtracking; ``grad`` is fn's
+    gradient.  The row-wise _descend must give every row these bits."""
+    fv = fn(v)
+    used = 0
+    for _ in range(iters):
+        used += 1
+        g = grad(v)
+        gn = float(np.linalg.norm(g))
+        if gn < 1e-14:
+            break
+        t = 1.0 / max(gn, 1.0)
+        improved = False
+        while t > 1e-14:
+            cand = _project_cap_reference(v - t * g, cap)
+            fc = fn(cand)
+            if fc < fv - 1e-4 * t * gn * gn:
+                v, fv = cand, fc
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return v, fv, used
+
+
+def _exit_kind(prob, f, delta, v, used, iters):
+    """Why a row left the descent, judged from its final point alone."""
+    if used == iters:
+        kind = "budget"
+    elif np.linalg.norm(_gradient(prob, v, f, delta)) < 1e-14:
+        kind = "zero-gradient"
+    else:
+        kind = "failed-line-search"
+    return kind + ("+cap" if abs(phi(v) - prob.phi_cap) <= 1e-12 else "")
+
+
+class TestDescend:
+    ITERS = 12
+
+    def _batch(self, nonlinearity, n, delta):
+        """Rows that leave at different times: the exact solution u (zero
+        residual gradient), the origin and random starts (which end on the
+        cap, since u lies outside it), and a start already descended to
+        convergence (its next line search fails)."""
+        prob = make_nonlinear_problem("rotated-diagonal", n, nonlinearity, phi_cap=1.0, seed=n)
+        rng = rng_from(70 + n)
+        u = rng.standard_normal(n)
+        u *= 1.3 / np.linalg.norm(u)
+        f = prob.forward(u)
+        if delta is None:
+            fn = lambda w: float(np.linalg.norm(prob.forward(w) - f)) ** 2
+        else:
+            fn = lambda w: functional(prob, w, f, delta)
+        grad = lambda w: _gradient(prob, w, f, delta)
+        starts = [u, np.zeros(n)] + [rng.standard_normal(n) * 0.5 for _ in range(4)]
+        starts.append(_descend_reference(fn, grad, starts[-1], prob.phi_cap, 400)[0])
+        return prob, f, fn, grad, starts
+
+    @pytest.mark.parametrize("delta", [None, 1e-2])
+    @pytest.mark.parametrize("nonlinearity", ["identity", "cubic"])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_rows_equal_one_start_reference(self, nonlinearity, n, delta):
+        prob, f, fn, grad, starts = self._batch(nonlinearity, n, delta)
+        v, fv, used = _descend(prob, f, delta, np.stack(starts), self.ITERS)
+        for i, start in enumerate(starts):
+            ref_v, ref_f, ref_used = _descend_reference(fn, grad, start, prob.phi_cap, self.ITERS)
+            assert v[i].tobytes() == ref_v.tobytes()
+            assert fv[i] == ref_f
+            assert used[i] == ref_used
+
+    def test_batch_covers_every_exit(self):
+        prob, f, fn, grad, starts = self._batch("cubic", 6, None)
+        v, _, used = _descend(prob, f, None, np.stack(starts), self.ITERS)
+        kinds = [_exit_kind(prob, f, None, v[i], used[i], self.ITERS) for i in range(len(v))]
+        assert kinds[0] == "zero-gradient"
+        assert kinds[-1] == "failed-line-search+cap"
+        assert "budget" in kinds and "budget+cap" in kinds
+
+    def test_a_row_alone_equals_the_row_in_a_batch(self):
+        prob, f, _, _, starts = self._batch("cubic", 6, 1e-2)
+        v, fv, used = _descend(prob, f, 1e-2, np.stack(starts), self.ITERS)
+        for i, start in enumerate(starts):
+            w, fw, uw = _descend(prob, f, 1e-2, start[None], self.ITERS)
+            assert (w[0].tobytes(), fw[0], uw[0]) == (v[i].tobytes(), fv[i], used[i])
+
+
 class TestMinimize:
     def test_matches_2d_grid_oracle(self):
         prob = make_nonlinear_problem("diagonal", 2, "identity", phi_cap=1.0, q=1.0)
@@ -170,6 +332,55 @@ class TestMinimize:
         report = minimize(prob, f, 1e-6, budget=150, seed=4, extra_starts=[u])
         assert np.linalg.norm(report.v_delta - u) <= 1e-8
 
+    # Outputs of the one-start-at-a-time descent, pinned: (matrix, n,
+    # nonlinearity, delta, data seed), minimize keywords, then F_value's repr,
+    # iterations and v_delta.  Only "phase-c-repair" runs phase C: two of its
+    # starts leave the admissible set in phase B.  No CLI example, no bench
+    # workload and no acceptance criterion reaches phase C.
+    PINNED = {
+        "two-starts": (
+            ("rotated-diagonal", 4, "cubic", 1e-3, 3), dict(budget=60, seed=3, restarts=2),
+            "0.0010014827153971442", 240,
+            [0.9261214167776405, 0.18687504198154326, 0.25189171708223373, -0.212688239212595]),
+        "default-starts": (
+            ("rotated-diagonal", 6, "cubic", 1e-3, 1), dict(budget=50, seed=1),
+            "0.0010065745854940995", 1650,
+            [0.0649239774235417, 0.6235150065014602, 0.7026408281843088,
+             0.05717633943147411, -0.16137878589561097, 0.2945509763224421]),
+        "extra-start": (
+            ("diagonal", 3, "cubic", 1e-6, 2), dict(budget=150, seed=4, restarts=3),
+            "9.999981656545409e-07", 86,
+            [-0.1320070092932964, -0.4720603912259941, 0.8716256650656775]),
+        "identity": (
+            ("rotated-diagonal", 2, "identity", 1e-2, 5), dict(budget=80, seed=5, restarts=8),
+            "0.009963235677651248", 393,
+            [-0.8268972964527502, 0.5590746183508525]),
+        "phase-c-repair": (
+            ("diagonal", 4, "cubic", 0.3, 0), dict(budget=40, seed=0, restarts=8),
+            "0.6105480190890733", 720,
+            [0.3310774278888498, -0.11734325448412242, -0.6469103842354025, -0.8891258412205261]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_outputs(self, name, monkeypatch):
+        (kind, n, nonlinearity, delta, seed), kwargs, f_repr, iterations, v_delta = self.PINNED[name]
+        prob = make_nonlinear_problem(kind, n, nonlinearity, phi_cap=4.0, seed=seed)
+        u = _seeded_truth_in_ball(n, prob.phi_cap, seed)
+        f = prob.forward(u) + noise_at_radius(rng_from(seed, 137), n, delta)
+        extra = [u] if name == "extra-start" else None
+        objectives = []
+
+        def spy(problem, f_delta, delta_or_none, v, iters):
+            objectives.append(delta_or_none)
+            return _descend(problem, f_delta, delta_or_none, v, iters)
+
+        monkeypatch.setattr(varreg, "_descend", spy)
+        report = minimize(prob, f, delta, extra_starts=extra, **kwargs)
+        assert (repr(report.F_value), report.iterations) == (f_repr, iterations)
+        assert report.v_delta.tolist() == v_delta
+        # Phases A and B, and the C repair where a row drifted out in B.
+        assert objectives == [None, delta] + [None] * (name == "phase-c-repair")
+
     def test_infeasible_raises(self):
         prob = make_nonlinear_problem("diagonal", 2, "identity", phi_cap=1.0, q=1.0)
         with pytest.raises(InfeasibleError):
@@ -184,8 +395,16 @@ class TestMinimize:
                 functional(prob, np.zeros(2), np.zeros(2), delta)
         with pytest.raises(InvalidParameterError):
             minimize(prob, np.zeros(2), 0.1, budget=0, seed=0)
-        with pytest.raises(InvalidParameterError):
-            minimize(prob, np.zeros(2), 0.1, budget=10, seed=0, restarts=0)
+        # restarts counts the origin, the linearized start and every extra
+        # start; fewer would drop starts the caller asked for.
+        for restarts, extra in ((0, None), (1, None), (2, [np.zeros(2)]),
+                                (3, [np.zeros(2), np.ones(2)])):
+            with pytest.raises(InvalidParameterError):
+                minimize(prob, np.zeros(2), 0.1, budget=10, seed=0, restarts=restarts,
+                         extra_starts=extra)
+        report = minimize(prob, np.zeros(2), 0.1, budget=10, seed=0, restarts=3,
+                          extra_starts=[np.zeros(2)])
+        assert report.restarts == 3
         for cap in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
                 NonlinearProblem(b=np.eye(2), nonlinearity="identity", phi_cap=cap)
