@@ -52,11 +52,26 @@ class RunConfig:
 # Parameter plumbing
 
 
+def _int(value) -> int:
+    """An integer option: a config-file bool or fraction is an error, not
+    truncated by int()."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A real option: a config-file bool is an error, not 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_deltas(value) -> list[float]:
     """Comma list ('1e-2,1e-3'), log sweep shorthand ('1e-5:1e-2:log7'), or a
     JSON array from a config file."""
     if isinstance(value, (list, tuple)):
-        out = [float(d) for d in value]
+        out = [_float(d) for d in value]
         if not out:
             raise UsageError("empty delta list")
         return out
@@ -106,7 +121,7 @@ class Opt:
 
 
 _COMMON = [
-    Opt("seed", int, default=0, help="seed for every random draw"),
+    Opt("seed", _int, default=0, help="seed for every random draw"),
     Opt("out", str, help="output CSV path (default stdout)"),
 ]
 
@@ -115,10 +130,10 @@ _BOUNDARY = Opt("boundary", _parse_boundary, default="sound",
 
 OPTIONS: dict[str, list[Opt]] = {
     "differentiate": [
-        Opt("n", int, default=1025, help="grid nodes"),
-        Opt("a", float, required=True, help="smoothness exponent, must be > 1"),
-        Opt("m", float, required=True, help="class norm bound"),
-        Opt("delta", float, required=True, help="noise radius"),
+        Opt("n", _int, default=1025, help="grid nodes"),
+        Opt("a", _float, required=True, help="smoothness exponent, must be > 1"),
+        Opt("m", _float, required=True, help="class norm bound"),
+        Opt("delta", _float, required=True, help="noise radius"),
         Opt("model", str, default="seeded-uniform", help="noise model for synthetic data"),
         Opt("truth", str, default="quadratic", help=f"synthetic truth, one of {TRUTHS}"),
         Opt("input", str, help="x,value CSV of noisy data (overrides synthesis)"),
@@ -126,54 +141,54 @@ OPTIONS: dict[str, list[Opt]] = {
         *_COMMON,
     ],
     "certify-diff": [
-        Opt("n", int, default=1025, help="grid nodes"),
-        Opt("a", float, required=True, help="smoothness exponent, must be > 1"),
-        Opt("m", float, required=True, help="class norm bound"),
+        Opt("n", _int, default=1025, help="grid nodes"),
+        Opt("a", _float, required=True, help="smoothness exponent, must be > 1"),
+        Opt("m", _float, required=True, help="class norm bound"),
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
         Opt("models", _parse_models, default="alternating,spike,smooth,seeded-uniform",
             help="comma list of noise models"),
         Opt("truth", str, default="quadratic", help=f"synthetic truth, one of {TRUTHS}"),
-        Opt("samples", int, default=16, help="candidates per admissible-set sampling"),
+        Opt("samples", _int, default=16, help="candidates per admissible-set sampling"),
         _BOUNDARY,
         *_COMMON,
     ],
     "witness": [
-        Opt("n", int, default=2049, help="grid nodes"),
-        Opt("a", float, required=True, help="smoothness exponent in [0, 2]"),
-        Opt("m", float, required=True, help="class norm bound"),
-        Opt("center", float, default=0.5, help="bump center in (0, 1)"),
+        Opt("n", _int, default=2049, help="grid nodes"),
+        Opt("a", _float, required=True, help="smoothness exponent in [0, 2]"),
+        Opt("m", _float, required=True, help="class norm bound"),
+        Opt("center", _float, default=0.5, help="bump center in (0, 1)"),
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
         *_COMMON,
     ],
     "certify-linear": [
         Opt("problem", str, required=True, help="volterra | diagonal | rotated-diagonal"),
-        Opt("n", int, required=True, help="problem dimension"),
-        Opt("q", float, default=1.0, help="decay exponent for diagonal kinds"),
-        Opt("p", float, required=True, help="source order in (0, 1)"),
-        Opt("k", float, required=True, help="source radius"),
+        Opt("n", _int, required=True, help="problem dimension"),
+        Opt("q", _float, default=1.0, help="decay exponent for diagonal kinds"),
+        Opt("p", _float, required=True, help="source order in (0, 1)"),
+        Opt("k", _float, required=True, help="source radius"),
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
-        Opt("trials", int, default=16, help="seeded (y, noise) draws per delta"),
-        Opt("threads", int, default=1, help="worker threads for the blocks of searches"),
+        Opt("trials", _int, default=16, help="seeded (y, noise) draws per delta"),
+        Opt("threads", _int, default=1, help="worker threads for the blocks of searches"),
         *_COMMON,
     ],
     "varmin": [
-        Opt("matrix", str, default="diagonal", help="gallery kind for B"),
-        Opt("n", int, default=4, help="problem dimension"),
-        Opt("q", float, default=1.0, help="decay exponent for diagonal kinds"),
+        Opt("matrix", str, default="diagonal", help="diagonal | rotated-diagonal"),
+        Opt("n", _int, default=4, help="problem dimension"),
+        Opt("q", _float, default=1.0, help="decay exponent for diagonal kinds"),
         Opt("nonlinearity", str, default="cubic", help="identity | cubic"),
-        Opt("cap", float, default=4.0, help="phi-ball radius c"),
-        Opt("delta", float, required=True, help="noise radius"),
-        Opt("budget", int, default=200, help="descent iterations per phase and start"),
+        Opt("cap", _float, default=4.0, help="phi-ball radius c"),
+        Opt("delta", _float, required=True, help="noise radius"),
+        Opt("budget", _int, default=200, help="descent iterations per phase and start"),
         *_COMMON,
     ],
     "study": [
-        Opt("matrix", str, default="diagonal", help="gallery kind for B"),
-        Opt("n", int, default=4, help="problem dimension"),
-        Opt("q", float, default=1.0, help="decay exponent for diagonal kinds"),
+        Opt("matrix", str, default="diagonal", help="diagonal | rotated-diagonal"),
+        Opt("n", _int, default=4, help="problem dimension"),
+        Opt("q", _float, default=1.0, help="decay exponent for diagonal kinds"),
         Opt("nonlinearity", str, default="cubic", help="identity | cubic"),
-        Opt("cap", float, default=4.0, help="phi-ball radius c"),
+        Opt("cap", _float, default=4.0, help="phi-ball radius c"),
         Opt("deltas", parse_deltas, required=True, help="decreasing noise sweep"),
-        Opt("budget", int, default=200, help="descent iterations per phase and start"),
+        Opt("budget", _int, default=200, help="descent iterations per phase and start"),
         *_COMMON,
     ],
 }
@@ -230,7 +245,7 @@ def resolve_config(argv) -> RunConfig:
             params[key] = opt.convert(raw)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {opt.name}: {exc}") from exc
-    seed = int(params.pop("seed", 0) or 0)
+    seed = params.pop("seed")
     out = params.pop("out", None)
     return RunConfig(subcommand=ns.subcommand, params=params, seed=seed, out=out)
 

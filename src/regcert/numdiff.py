@@ -294,11 +294,13 @@ def member_candidates(
     n_samples: int,
     seed: int = 0,
 ) -> list[SampledFunction]:
-    """Admissible perturbations of a known admissible base solution.
+    """A known admissible base solution and seeded perturbations of it.
 
     Seeded bumps are scaled into the residual and class-norm slack the base
-    leaves, so every returned candidate is itself admissible (and is
-    re-verified).  Used to anchor the sampled lower bound when the caller
+    leaves, so by the triangle inequality each one stays admissible; they are
+    not tested here, because ``empirical_sup_error`` tests every candidate
+    before it counts.  Returns [] for an inadmissible base and [base] when it
+    leaves no slack.  Used to anchor the sampled lower bound when the caller
     knows one admissible solution, e.g. the truth behind synthetic data.
     """
     got = membership(base, data, spec)
@@ -320,9 +322,7 @@ def member_candidates(
         norm_unit = holder_norm(unit, spec.a)
         scale = 0.98 * min(res_slack / resid_unit, norm_slack / norm_unit)
         sign = 1.0 if rng.integers(0, 2) else -1.0
-        cand = SampledFunction(grid, base.values + sign * scale * profile)
-        if membership(cand, data, spec).ok:
-            out.append(cand)
+        out.append(SampledFunction(grid, base.values + sign * scale * profile))
     return out
 
 
@@ -337,34 +337,29 @@ def empirical_sup_error(
     """Largest observed distance from the regularized derivative to an
     admissible solution.
 
-    The generated pool starts from admissible bases (the regularizer output,
-    smoothed copies of it, and the zero function, whichever pass the
-    admissibility test) and adds seeded bump perturbations scaled into the
-    remaining residual and norm slack; around zero data this reproduces the
-    witness-pair candidates.  ``candidates`` replaces the generated pool when
-    given.  Every candidate is re-verified by ``membership`` before it
-    counts.  The result is a lower estimate of the true supremum over the
-    admissible set.  ``boundary`` selects the stencil of ``differentiate``.
+    ``candidates`` is the pool when given.  Otherwise the pool is generated:
+    the ``member_candidates`` of each admissible base (the regularizer output,
+    smoothed copies of it, and the zero function), whose seeded bumps fill
+    the residual and norm slack the base leaves; around zero data this
+    reproduces the witness-pair candidates.  Either pool meets the one gate
+    of the lower bound: a candidate counts only if it passes ``membership``.
+    The result is a lower estimate of the true supremum over the admissible
+    set.  ``boundary`` selects the stencil of ``differentiate``.
     """
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
     r_out = differentiate(data, spec, boundary)
-    grid = data.f_delta.grid
-    m, _ = _snapped_step(data.delta, spec, grid)
-
-    accepted: list[SampledFunction] = []
-    if candidates is not None:
-        accepted = [v for v in candidates if membership(v, data, spec).ok]
-    else:
-        bases: list[SampledFunction] = [SampledFunction(grid, np.zeros(grid.n))]
+    if candidates is None:
+        grid = data.f_delta.grid
+        m, _ = _snapped_step(data.delta, spec, grid)
+        bases = [SampledFunction(grid, np.zeros(grid.n))]
         for half in (0, m, 2 * m, 4 * m, 8 * m):
             bases.append(SampledFunction(grid, _box_smooth(r_out.values, half)))
         bases = [b for b in bases if membership(b, data, spec).ok]
         per_base = max(1, n_samples // max(len(bases), 1))
-        for bi, base in enumerate(bases):
-            accepted.extend(
-                member_candidates(base, data, spec, per_base, seed=seed + 7919 * bi)
-            )
+        candidates = [v for bi, base in enumerate(bases) for v in
+                      member_candidates(base, data, spec, per_base, seed=seed + 7919 * bi)]
+    accepted = [v for v in candidates if membership(v, data, spec).ok]
     if not accepted:
         raise EmptyAdmissibleSetError(
             "no sampled candidate passed admissibility; data, noise radius and "

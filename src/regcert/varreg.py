@@ -97,6 +97,11 @@ def make_nonlinear_problem(
     kind: str, n: int, nonlinearity: str, phi_cap: float, q: float = 1.0, seed: int = 0
 ) -> NonlinearProblem:
     """Nonlinear problem with B taken from the spectral gallery."""
+    if kind == "volterra":
+        raise InvalidMatrixError(
+            "the volterra gallery matrix has a zero first row (its quadrature weights "
+            "at x = 0), so B is never injective; choose diagonal | rotated-diagonal"
+        )
     b, tri = make_problem(ProblemSpec(kind=kind, n=n, q=q, seed=seed))
     return NonlinearProblem(b=b, nonlinearity=nonlinearity, phi_cap=phi_cap, b_svd=tri)
 

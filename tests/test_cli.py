@@ -82,6 +82,39 @@ class TestParsing:
         resolved2 = resolve_config(["certify-linear", "--config", str(path), "--p", "0.25"])
         assert resolved2.params["p"] == 0.25
 
+    # Config-file numbers of the wrong kind: int() would truncate 8.9 to 8
+    # and turn true into 1, float() true into 1.0.
+    @pytest.mark.parametrize("key,value,phrase", [
+        ("n", 8.9, "expected an integer, got 8.9"),
+        ("n", True, "expected an integer, got True"),
+        ("trials", True, "expected an integer, got True"),
+        ("trials", 1.5, "expected an integer, got 1.5"),
+        ("seed", True, "expected an integer, got True"),
+        ("seed", 2.5, "expected an integer, got 2.5"),
+        ("p", True, "expected a number, got True"),
+        ("k", False, "expected a number, got False"),
+        ("deltas", [True], "expected a number, got True"),
+    ])
+    def test_config_file_rejects_coerced_numbers(self, tmp_path, caplog, key, value, phrase):
+        cfg = {"problem": "diagonal", "n": 8, "p": 0.5, "k": 1.0,
+               "deltas": [0.01], "trials": 2, key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["certify-linear", "--config", str(path)]
+        with pytest.raises(UsageError, match=f"bad value for {key}: {phrase}"):
+            resolve_config(argv)
+        assert run(argv) == 1
+        assert any(phrase in rec.message for rec in caplog.records)
+
+    def test_config_file_accepts_integral_float(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": "diagonal", "n": 8.0, "p": 0.5, "k": 1,
+                                    "deltas": [0.01], "trials": 2, "seed": 3.0}))
+        resolved = resolve_config(["certify-linear", "--config", str(path)])
+        assert resolved.params["n"] == 8 and type(resolved.params["n"]) is int
+        assert resolved.params["k"] == 1.0 and type(resolved.params["k"]) is float
+        assert resolved.seed == 3 and type(resolved.seed) is int
+
 
 class TestExitCodes:
     def test_certify_linear_pass_exit_zero(self, tmp_path):
@@ -175,6 +208,45 @@ class TestExitCodes:
         assert [r[-1] for r in sound_rows] == ["true"] * 4
         assert [r[-1] for r in paper_rows].count("false") == 3
         assert [r[:7] for r in sound_rows] == [r[:7] for r in paper_rows]
+
+    def test_certify_diff_bytes(self, capsys):
+        # The README example and diff-sweep's a = 1.5 argv on stdout, pinned
+        # byte for byte, empirical_lower included.
+        assert run(["certify-diff", "--n", "4097", "--a", "2", "--m", "1",
+                    "--deltas", "1e-2:1e-5:log4", "--truth", "quadratic"]) == 0
+        assert capsys.readouterr().out == (
+            "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass\n"
+            "0.01,2.0,1.0,0.10009765625,0.09990243902439025,0.10009765625,"
+            "0.20000009527439025,0.12359208280702313,true\n"
+            "0.001,2.0,1.0,0.03173828125,0.031507692307692306,0.03173828125,"
+            "0.0632459735576923,0.036735582317186544,true\n"
+            "0.0001,2.0,1.0,0.010009765625,0.009990243902439026,0.010009765625,"
+            "0.020000009527439026,0.011316364319016115,true\n"
+            "9.999999999999999e-06,2.0,1.0,0.003173828125,0.0031507692307692304,"
+            "0.003173828125,0.00632459735576923,0.003540770928379372,true\n"
+        )
+        assert run(["certify-diff", "--n", "1025", "--a", "1.5", "--m", "1",
+                    "--deltas", "1e-2:1e-5:log4", "--samples", "4", "--truth", "quadratic",
+                    "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass\n"
+            "0.01,1.5,1.0,0.0732421875,0.13653333333333334,0.2706329386826371,"
+            "0.40716627201597044,0.14235341024236375,true\n"
+            "0.001,1.5,1.0,0.015625,0.064,0.125,0.189,0.06333689361563372,true\n"
+            "0.0001,1.5,1.0,0.00390625,0.0256,0.0625,0.0881,0.024925380332606707,true\n"
+            "9.999999999999999e-06,1.5,1.0,0.0009765625,0.010239999999999999,0.03125,"
+            "0.04149,0.010069673949438099,true\n"
+        )
+
+    @pytest.mark.parametrize("sub,radius", [("varmin", ["--delta", "1e-3"]),
+                                            ("study", ["--deltas", "1e-3"])])
+    def test_volterra_matrix_exit_one(self, sub, radius, capsys, caplog):
+        # The volterra gallery matrix has a zero first row, so it is never an
+        # injective B: refused with the reason and the kinds that work.
+        assert run([sub, "--matrix", "volterra", "--n", "4", *radius]) == 1
+        assert capsys.readouterr().out == ""
+        assert any("zero first row" in rec.message
+                   and "diagonal | rotated-diagonal" in rec.message for rec in caplog.records)
 
     def test_readme_varreg_examples(self, tmp_path):
         # The README's varmin and study examples: every row is feasible, and

@@ -14,6 +14,7 @@ from regcert import (
     integrate_volterra,
     member_candidates,
     membership,
+    numdiff,
     step_size,
     sup_distance,
     witness_pair,
@@ -313,6 +314,24 @@ class TestEmpiricalSupError:
         got = empirical_sup_error(data, spec, 1, seed=0, candidates=[u])
         assert got == sup_distance(differentiate(data, spec), u)
 
+    def test_gate_drops_inadmissible_candidate(self):
+        # A shifted truth lies farther from the regularized derivative than
+        # the truth does, but its residual is far above delta: it must not
+        # count, so the bound is the truth's distance alone.
+        g = Grid(513)
+        spec = HolderSpec(2.0, 1.0)
+        u = scaled_truth(g, spec, g.nodes**2)
+        data = add_noise(integrate_volterra(u), 1e-3, "spike", seed=3)
+        shifted = SampledFunction(g, u.values + 0.5)
+        assert not membership(shifted, data, spec).ok
+        r_out = differentiate(data, spec)
+        assert sup_distance(r_out, shifted) > sup_distance(r_out, u)
+        for pool in ([u, shifted], [shifted, u]):
+            got = empirical_sup_error(data, spec, 1, seed=0, candidates=pool)
+            assert got == sup_distance(r_out, u)
+        with pytest.raises(EmptyAdmissibleSetError):
+            empirical_sup_error(data, spec, 1, seed=0, candidates=[shifted])
+
     def test_boundary_threaded_through(self):
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
@@ -356,6 +375,22 @@ class TestEmpiricalSupError:
         got = empirical_sup_error(data, spec, 8, seed=0)
         assert got <= error_budget(1e-2, spec, g).total
 
+    def test_member_candidates_are_admissible(self):
+        # A base with slack in both the residual and the norm: every bump
+        # member_candidates scales into that slack passes membership.
+        g = Grid(513)
+        spec = HolderSpec(1.5, 2.0)
+        u = scaled_truth(g, HolderSpec(1.5, 1.0), np.sin(2 * np.pi * g.nodes))
+        data = add_noise(integrate_volterra(u), 1e-3, "smooth", seed=4)
+        data = NoisyData(data.f_delta, 2e-3, data.model, data.seed)
+        base = membership(u, data, spec)
+        assert base.residual < 0.6 * data.delta and base.norm < 0.6 * spec.m_a
+        pool = member_candidates(u, data, spec, 16, seed=7)
+        assert len(pool) == 17 and pool[0] is u
+        for v in pool:
+            assert membership(v, data, spec).ok
+        assert len({sup_distance(u, v) for v in pool[1:]}) == 16
+
     def test_empty_admissible_set(self):
         g = Grid(257)
         data = NoisyData(SampledFunction(g, 5.0 * g.nodes), 1e-6, "exact-shift")
@@ -388,6 +423,24 @@ class TestCertify:
             assert c.empirical_lower > 0.0
             assert c.passed == (c.empirical_lower <= c.budget.total * PASS_TOL)
         assert certify(u, spec, deltas, ["spike", "smooth"], 3, seed=4) == certs
+
+    def test_one_membership_call_per_candidate(self, monkeypatch):
+        # Per (delta, model): one call for the truth's slack, then the gate
+        # once for the truth and once per bump.
+        g = Grid(513)
+        spec = HolderSpec(2.0, 1.0)
+        u = scaled_truth(g, spec, g.nodes**2)
+        calls = []
+        real = numdiff.membership
+
+        def counting(v, data, spec):
+            calls.append(v)
+            return real(v, data, spec)
+
+        monkeypatch.setattr(numdiff, "membership", counting)
+        samples, deltas, models = 5, [1e-3, 1e-4], ["spike", "smooth"]
+        certify(u, spec, deltas, models, samples, seed=2)
+        assert len(calls) <= (2 + samples) * len(deltas) * len(models)
 
     def test_lower_bound_is_max_over_models(self):
         g = Grid(513)
