@@ -3,6 +3,10 @@
 The singular triple (U, sigma, V) of a square matrix A carries everything
 the spectral calculus needs: T = A^T A has eigenvalues s_i = sigma_i^2 with
 eigenvectors the columns of V, and functions of T act diagonally there.
+
+The diagonal gallery kinds are built from their own SVD, A = Q1 diag(d) Q2^T,
+so they carry the triple by construction; only the volterra matrix goes
+through the dense LAPACK SVD.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ class ProblemSpec:
             raise InvalidMatrixError(f"dimension must lie in [1, {MAX_DENSE_N}], got {self.n}")
         if self.kind == "volterra" and self.n < 3:
             raise InvalidMatrixError("volterra problem needs n >= 3")
-        if self.kind != "volterra" and not self.q > 0.0:
-            raise InvalidMatrixError(f"decay exponent must be positive, got {self.q}")
+        if self.kind != "volterra" and not 0.0 < self.q < np.inf:
+            raise InvalidMatrixError(f"decay exponent must be positive and finite, got {self.q}")
 
 
 def svd(a: np.ndarray) -> SvdTriple:
@@ -87,9 +91,14 @@ def svd(a: np.ndarray) -> SvdTriple:
     if not np.all(np.isfinite(a)):
         raise InvalidMatrixError("matrix entries must all be finite")
     u, sig, vh = np.linalg.svd(a)
+    return SvdTriple(u=u, sigma=_flush_null_modes(sig), v=vh.T)
+
+
+def _flush_null_modes(sig: np.ndarray) -> np.ndarray:
+    """Descending singular values with those below ZERO_SV_RTOL * sigma_max set to 0."""
     if sig.size and sig[0] > 0.0:
         sig = np.where(sig < ZERO_SV_RTOL * sig[0], 0.0, sig)
-    return SvdTriple(u=u, sigma=sig, v=vh.T)
+    return sig
 
 
 def volterra_matrix(n: int) -> np.ndarray:
@@ -110,16 +119,22 @@ def _seeded_orthogonal(n: int, rng) -> np.ndarray:
 
 
 def make_problem(spec: ProblemSpec) -> tuple[np.ndarray, SvdTriple]:
-    """Build the gallery matrix and its singular triple."""
+    """Build the gallery matrix and its singular triple.
+
+    The diagonal kinds are assembled as A = Q1 diag(d) Q2^T from the
+    descending power law d_k = k^-q (Q1 = Q2 = I for ``diagonal``), so their
+    triple is (Q1, d, Q2) with no factorization; ``volterra`` runs ``svd``.
+    """
     if spec.kind == "volterra":
         a = volterra_matrix(spec.n)
+        return a, svd(a)
+    d = np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)
+    if spec.kind == "diagonal":
+        q1 = q2 = np.eye(spec.n)
+        a = np.diag(d)
     else:
-        d = np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)
-        if spec.kind == "diagonal":
-            a = np.diag(d)
-        else:
-            rng = rng_from(spec.seed)
-            q1 = _seeded_orthogonal(spec.n, rng)
-            q2 = _seeded_orthogonal(spec.n, rng)
-            a = q1 @ np.diag(d) @ q2.T
-    return a, svd(a)
+        rng = rng_from(spec.seed)
+        q1 = _seeded_orthogonal(spec.n, rng)
+        q2 = _seeded_orthogonal(spec.n, rng)
+        a = (q1 * d) @ q2.T
+    return a, SvdTriple(u=q1, sigma=_flush_null_modes(d), v=q2)

@@ -308,8 +308,8 @@ def test_non_finite_noise_radius_exit_one(sub, value, capsys, caplog):
                for rec in caplog.records)
 
 
-# Class radii must be finite and counts at least 1: each argv with the
-# words its logged message must hold, naming the parameter.
+# Class radii and decay exponents must be finite and counts at least 1:
+# each argv with the words its logged message must hold, naming the parameter.
 _LINEAR = ["certify-linear", "--problem", "diagonal", "--n", "8", "--p", "0.5",
            "--trials", "1", "--deltas", "1e-3"]
 _BAD_PARAMETER_ARGV = {
@@ -318,6 +318,9 @@ _BAD_PARAMETER_ARGV = {
     "study-cap-inf": (["study", "--n", "3", "--budget", "10", "--deltas", "1e-3",
                        "--cap", "inf"], "phi cap must"),
     "certify-linear-k-inf": (_LINEAR + ["--k", "inf"], "k_p must"),
+    "certify-linear-q-inf": (_LINEAR + ["--k", "1", "--q", "inf"], "decay exponent must"),
+    "varmin-q-inf": (["varmin", "--matrix", "diagonal", "--n", "3", "--budget", "10",
+                      "--delta", "1e-3", "--q", "inf"], "decay exponent must"),
     "certify-linear-threads-0": (_LINEAR + ["--k", "1", "--threads", "0"], "threads must"),
     "certify-linear-threads-neg": (_LINEAR + ["--k", "1", "--threads", "-2"], "threads must"),
     "certify-diff-m-inf": (["certify-diff", "--n", "257", "--a", "2", "--m", "inf",

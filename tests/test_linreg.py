@@ -456,6 +456,15 @@ class TestCertify:
         )
         assert c1 == c8
 
+    def test_thread_count_invariance_rotated(self):
+        # Dense singular vectors mix every coordinate; 64 restarts put two
+        # tasks in a block, so the 12 tasks run as six blocks across the pool.
+        args = (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), SourceSpec(0.5, 1.0),
+                [1e-1, 1e-2, 1e-3])
+        c1 = certify(*args, trials=4, restarts=64, seed=9)
+        c8 = certify(*args, trials=4, restarts=64, seed=9, threads=8)
+        assert c1 == c8
+
     # empirical_lower values pinned from the one-task-at-a-time search that
     # the row-wise blocks replaced; the secular root's closed-form start
     # moves them in the last bits only.  "one-per-block" holds a single task

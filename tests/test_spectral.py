@@ -3,7 +3,8 @@ import pytest
 
 from regcert import ProblemSpec, make_problem, svd
 from regcert.errors import InvalidMatrixError
-from regcert.spectral import MAX_DENSE_N, PROBLEM_KINDS, volterra_matrix
+from regcert.seeding import rng_from
+from regcert.spectral import MAX_DENSE_N, PROBLEM_KINDS, ZERO_SV_RTOL, volterra_matrix
 
 
 def _check_triple(a, tri):
@@ -68,10 +69,52 @@ def _volterra_matrix_reference(n):
     return a
 
 
+def _diagonal_kind_reference(spec):
+    """The three-factor product Q1 diag(d) Q2^T that the diagonal kinds stand
+    for, with the flushed d as their singular values."""
+    n = spec.n
+    d = np.arange(1, n + 1, dtype=float) ** (-spec.q)
+    if spec.kind == "diagonal":
+        q1 = q2 = np.eye(n)
+    else:
+        rng = rng_from(spec.seed)
+        q1, q2 = (_orthogonal_reference(n, rng) for _ in range(2))
+    return q1 @ np.diag(d) @ q2.T, np.where(d < ZERO_SV_RTOL * d[0], 0.0, d)
+
+
+def _orthogonal_reference(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ np.diag(np.sign(np.diag(r)))
+
+
+class TestClosedForm:
+    """The diagonal kinds return their SVD from their own factors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 256])
+    @pytest.mark.parametrize("kind", ["diagonal", "rotated-diagonal"])
+    def test_triple_from_factors(self, kind, n, monkeypatch):
+        def no_dense_svd(*args, **kwargs):
+            raise AssertionError("dense SVD called for a diagonal gallery kind")
+
+        spec = ProblemSpec(kind, n, q=0.7, seed=5)
+        want_a, want_sigma = _diagonal_kind_reference(spec)
+        monkeypatch.setattr(np.linalg, "svd", no_dense_svd)
+        a, tri = make_problem(spec)
+        assert np.array_equal(a, want_a)
+        assert np.array_equal(tri.sigma, want_sigma)
+        eye = np.eye(n)
+        assert np.linalg.norm(tri.u.T @ tri.u - eye) <= 1e-12
+        assert np.linalg.norm(tri.v.T @ tri.v - eye) <= 1e-12
+        recon = tri.u @ np.diag(tri.sigma) @ tri.v.T
+        assert np.max(np.abs(recon - a)) <= 1e-13 * tri.sigma[0]
+        for arr in (tri.u, tri.sigma, tri.v):
+            assert not arr.flags.writeable
+
+
 class TestGallery:
     def test_diagonal_exact(self):
         _, tri = make_problem(ProblemSpec("diagonal", 4, q=1.0))
-        np.testing.assert_allclose(tri.sigma, [1.0, 0.5, 1.0 / 3.0, 0.25], atol=1e-12)
+        assert tri.sigma.tolist() == [1.0, 0.5, 1.0 / 3.0, 0.25]
 
     def test_volterra_spectrum(self):
         # Analytic singular values of the continuum integration operator are
@@ -103,13 +146,23 @@ class TestGallery:
     def test_rotation_preserves_spectrum(self):
         _, plain = make_problem(ProblemSpec("diagonal", 24, q=0.7))
         _, rot = make_problem(ProblemSpec("rotated-diagonal", 24, q=0.7, seed=5))
-        assert np.max(np.abs(plain.sigma - rot.sigma)) <= 1e-10
+        assert np.array_equal(plain.sigma, rot.sigma)
+
+    def test_rotation_preserves_null_space(self):
+        # k^-6 < 1e-14 exactly for k >= 216, so 41 of 256 modes are null for
+        # both kinds (a dense SVD of the rotated matrix flushed 42).
+        for kind in ("diagonal", "rotated-diagonal"):
+            _, tri = make_problem(ProblemSpec(kind, 256, q=6.0, seed=3))
+            assert np.count_nonzero(tri.sigma == 0.0) == 41
 
     def test_spec_validation(self):
         with pytest.raises(InvalidMatrixError):
             ProblemSpec("hilbert", 8)
         with pytest.raises(InvalidMatrixError):
             ProblemSpec("diagonal", 8, q=0.0)
+        for q in (np.inf, np.nan):
+            with pytest.raises(InvalidMatrixError, match="decay exponent"):
+                ProblemSpec("rotated-diagonal", 8, q=q)
         with pytest.raises(InvalidMatrixError):
             ProblemSpec("diagonal", 0)
         # Rejected before make_problem builds the n x n matrix.

@@ -336,7 +336,9 @@ class TestMinimize:
     # nonlinearity, delta, data seed), minimize keywords, then F_value's repr,
     # iterations and v_delta.  Only "phase-c-repair" runs phase C: two of its
     # starts leave the admissible set in phase B.  No CLI example, no bench
-    # workload and no acceptance criterion reaches phase C.
+    # workload and no acceptance criterion reaches phase C.  "default-starts"
+    # is pinned with B's singular triple taken from its rotation factors; a
+    # dense SVD of the same B moves its F_value in the last two digits.
     PINNED = {
         "two-starts": (
             ("rotated-diagonal", 4, "cubic", 1e-3, 3), dict(budget=60, seed=3, restarts=2),
@@ -344,9 +346,9 @@ class TestMinimize:
             [0.9261214167776405, 0.18687504198154326, 0.25189171708223373, -0.212688239212595]),
         "default-starts": (
             ("rotated-diagonal", 6, "cubic", 1e-3, 1), dict(budget=50, seed=1),
-            "0.0010065745854940995", 1650,
-            [0.0649239774235417, 0.6235150065014602, 0.7026408281843088,
-             0.05717633943147411, -0.16137878589561097, 0.2945509763224421]),
+            "0.0010065745854940967", 1650,
+            [0.06492397742354165, 0.6235150065014602, 0.7026408281843088,
+             0.057176339431474106, -0.16137878589561092, 0.2945509763224421]),
         "extra-start": (
             ("diagonal", 3, "cubic", 1e-6, 2), dict(budget=150, seed=4, restarts=3),
             "9.999981656545409e-07", 86,
