@@ -303,7 +303,18 @@ def member_candidates(
     leaves no slack.  Used to anchor the sampled lower bound when the caller
     knows one admissible solution, e.g. the truth behind synthetic data.
     """
-    got = membership(base, data, spec)
+    return _member_candidates(base, membership(base, data, spec), data, spec, n_samples, seed)
+
+
+def _member_candidates(
+    base: SampledFunction,
+    got: Membership,
+    data: NoisyData,
+    spec: HolderSpec,
+    n_samples: int,
+    seed: int,
+) -> list[SampledFunction]:
+    """member_candidates for a base whose membership ``got`` is known."""
     if not got.ok:
         return []
     grid = base.grid
@@ -355,10 +366,11 @@ def empirical_sup_error(
         bases = [SampledFunction(grid, np.zeros(grid.n))]
         for half in (0, m, 2 * m, 4 * m, 8 * m):
             bases.append(SampledFunction(grid, _box_smooth(r_out.values, half)))
-        bases = [b for b in bases if membership(b, data, spec).ok]
-        per_base = max(1, n_samples // max(len(bases), 1))
-        candidates = [v for bi, base in enumerate(bases) for v in
-                      member_candidates(base, data, spec, per_base, seed=seed + 7919 * bi)]
+        tested = [(b, membership(b, data, spec)) for b in bases]
+        tested = [(b, got) for b, got in tested if got.ok]
+        per_base = max(1, n_samples // max(len(tested), 1))
+        candidates = [v for bi, (base, got) in enumerate(tested) for v in
+                      _member_candidates(base, got, data, spec, per_base, seed + 7919 * bi)]
     accepted = [v for v in candidates if membership(v, data, spec).ok]
     if not accepted:
         raise EmptyAdmissibleSetError(

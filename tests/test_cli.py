@@ -14,6 +14,7 @@ from regcert import (
     differentiate,
     error_budget,
     integrate_volterra,
+    linreg,
     make_nonlinear_problem,
     minimize,
     numdiff,
@@ -339,7 +340,10 @@ def test_bad_parameter_exit_one(case, capsys, caplog):
 
 
 class TestDeterminism:
-    def test_certify_linear_threads_byte_identical(self, tmp_path):
+    def test_certify_linear_threads_byte_identical(self, tmp_path, monkeypatch):
+        # One task (4 restarts of 32 elements) per block: 12 blocks for the pool.
+        monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 4 * 32)
+        assert linreg._SEARCH_BLOCK // (4 * 32) == 1
         base = ["certify-linear", "--problem", "volterra", "--n", "32", "--p", "0.5",
                 "--k", "1", "--deltas", "1e-2,1e-4", "--trials", "6", "--seed", "42"]
         paths = [tmp_path / name for name in ("t1.csv", "t8.csv", "t1b.csv")]

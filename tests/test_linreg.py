@@ -448,7 +448,11 @@ class TestCertify:
             assert bound(a_star) < bound(2 * a_star)
             assert bound(a_star) < bound(a_star / 2)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
+        # A budget of one task (4 restarts of 24 elements) per block makes
+        # the 12 tasks twelve blocks, so the pool really splits the work.
+        monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 4 * 24)
+        assert linreg._SEARCH_BLOCK // (4 * 24) == 1
         kwargs = dict(trials=6, seed=17)
         c1 = certify(ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4], **kwargs)
         c8 = certify(
@@ -457,8 +461,8 @@ class TestCertify:
         assert c1 == c8
 
     def test_thread_count_invariance_rotated(self):
-        # Dense singular vectors mix every coordinate; 64 restarts put two
-        # tasks in a block, so the 12 tasks run as six blocks across the pool.
+        # Dense singular vectors mix every coordinate; 64 restarts put four
+        # tasks in a block, so the 12 tasks run as three blocks across the pool.
         args = (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), SourceSpec(0.5, 1.0),
                 [1e-1, 1e-2, 1e-3])
         c1 = certify(*args, trials=4, restarts=64, seed=9)
@@ -468,7 +472,8 @@ class TestCertify:
     # empirical_lower values pinned from the one-task-at-a-time search that
     # the row-wise blocks replaced; the secular root's closed-form start
     # moves them in the last bits only.  "one-per-block" holds a single task
-    # per block (restarts * n exceeds the block budget).
+    # per block: restarts * n exceeds the block budget, pinned to the 2^13
+    # elements the case was written for.
     PINNED = {
         "diagonal-24": (
             (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4],
@@ -489,12 +494,27 @@ class TestCertify:
 
     @pytest.mark.parametrize("threads", [1, 8])
     @pytest.mark.parametrize("case", sorted(PINNED))
-    def test_pinned_lower_bounds(self, case, threads):
+    def test_pinned_lower_bounds(self, case, threads, monkeypatch):
         (problem, src, deltas, kwargs), want = self.PINNED[case]
         if case == "one-per-block":
+            monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 1 << 13)
             assert linreg._SEARCH_BLOCK // (kwargs["restarts"] * problem.n) == 0
         certs = certify(problem, src, deltas, threads=threads, **kwargs)
         assert [c.empirical_lower for c in certs] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 64),
+                                         ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4)],
+                             ids=["volterra", "rotated-diagonal"])
+    def test_block_size_invariance(self, problem, threads, monkeypatch):
+        # One task per block, the default budget, and every task in one block.
+        args = (problem, SourceSpec(0.5, 1.0), [1e-1, 1e-3])
+        kwargs = dict(trials=3, seed=8, threads=threads)
+        got = []
+        for budget in (1, linreg._SEARCH_BLOCK, 1 << 20):
+            monkeypatch.setattr(linreg, "_SEARCH_BLOCK", budget)
+            got.append(certify(*args, **kwargs))
+        assert got[0] == got[1] == got[2]
 
     def test_task_value_independent_of_its_block(self, rng):
         m, tri = make_problem(ProblemSpec("volterra", 48))

@@ -391,6 +391,25 @@ class TestEmpiricalSupError:
             assert membership(v, data, spec).ok
         assert len({sup_distance(u, v) for v in pool[1:]}) == 16
 
+    @pytest.mark.parametrize("samples, calls", [(4, 12), (8, 16), (16, 24)])
+    def test_generated_pool_membership_calls(self, monkeypatch, samples, calls):
+        # Six bases meet the base filter; the two admissible ones and their
+        # bumps meet the gate.  The filter's membership feeds the bumps' slack.
+        g = Grid(257)
+        spec = HolderSpec(1.5, 2.0)
+        u = scaled_truth(g, HolderSpec(1.5, 1.0), np.sin(2 * np.pi * g.nodes))
+        data = add_noise(integrate_volterra(u), 1e-3, "spike", seed=3)
+        made = []
+
+        def counted(v, data, spec):
+            made.append(v)
+            return membership(v, data, spec)
+
+        monkeypatch.setattr(numdiff, "membership", counted)
+        got = empirical_sup_error(data, spec, samples, seed=0)
+        assert len(made) == calls
+        assert got == 0.04418953300990417
+
     def test_empty_admissible_set(self):
         g = Grid(257)
         data = NoisyData(SampledFunction(g, 5.0 * g.nodes), 1e-6, "exact-shift")
