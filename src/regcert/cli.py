@@ -19,11 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linreg, numdiff, spectral, varreg
-from .errors import RegcertError, UsageError
+from .errors import RegcertError, UsageError, choice
 from .function_space import (
     Grid,
     HolderSpec,
-    NOISE_MODELS,
     NoisyData,
     SampledFunction,
     add_noise,
@@ -93,22 +92,8 @@ def parse_deltas(value) -> list[float]:
 
 def _parse_models(value) -> list[str]:
     if isinstance(value, (list, tuple)):
-        models = [str(m) for m in value]
-    else:
-        models = [tok.strip() for tok in str(value).split(",") if tok.strip()]
-    for m in models:
-        if m not in NOISE_MODELS:
-            raise UsageError(f"unknown noise model {m!r}; choose from {NOISE_MODELS}")
-    return models
-
-
-def _parse_boundary(value) -> str:
-    text = str(value)
-    if text not in numdiff.BOUNDARY_STENCILS:
-        raise UsageError(
-            f"unknown boundary stencil {text!r}; choose from {numdiff.BOUNDARY_STENCILS}"
-        )
-    return text
+        return [str(m) for m in value]
+    return [tok.strip() for tok in str(value).split(",") if tok.strip()]
 
 
 @dataclass
@@ -125,7 +110,7 @@ _COMMON = [
     Opt("out", str, help="output CSV path (default stdout)"),
 ]
 
-_BOUNDARY = Opt("boundary", _parse_boundary, default="sound",
+_BOUNDARY = Opt("boundary", str, default="sound",
                 help="one-sided stencil: sound (step 2h, within budget) | paper (step h)")
 
 OPTIONS: dict[str, list[Opt]] = {
@@ -211,7 +196,7 @@ def _build_parser() -> _Parser:
 
 
 def resolve_config(argv) -> RunConfig:
-    """Merge flags over config-file keys and validate required parameters."""
+    """Merge flags over config-file keys; refuse unknown keys and missing required ones."""
     ns = _build_parser().parse_args(argv)
     if ns.subcommand is None:
         raise UsageError(f"missing subcommand; choose one of {tuple(OPTIONS)}")
@@ -228,9 +213,12 @@ def resolve_config(argv) -> RunConfig:
                 f"got {type(loaded).__name__}"
             )
         file_cfg = {k.replace("-", "_"): v for k, v in loaded.items()}
+    keys = [opt.name.replace("-", "_") for opt in OPTIONS[ns.subcommand]]
+    unknown = sorted(set(file_cfg).difference(keys))
+    if unknown:
+        raise UsageError(f"unknown key(s) in config file {ns.config}: {', '.join(unknown)}")
     params = {}
-    for opt in OPTIONS[ns.subcommand]:
-        key = opt.name.replace("-", "_")
+    for opt, key in zip(OPTIONS[ns.subcommand], keys):
         raw = getattr(ns, key)
         if raw is None and key in file_cfg:
             raw = file_cfg[key]
@@ -274,17 +262,16 @@ def _exit_code(certs) -> int:
 
 def make_truth(name: str, grid: Grid, spec: HolderSpec, seed: int = 0) -> SampledFunction:
     """Named truth scaled just inside the class ball."""
+    choice(name, TRUTHS, "truth", UsageError)
     x = grid.nodes
     if name == "quadratic":
         raw = x**2
     elif name == "sin2pi":
         raw = np.sin(2.0 * np.pi * x)
-    elif name == "trig":
+    else:  # trig
         rng = rng_from(seed, 797)
         coefs = rng.standard_normal(4)
         raw = sum(c * np.sin((j + 1) * np.pi * x) for j, c in enumerate(coefs))
-    else:
-        raise UsageError(f"unknown truth {name!r}; choose from {TRUTHS}")
     sf = SampledFunction(grid, raw)
     norm = holder_norm(sf, spec.a)
     return SampledFunction(grid, raw * (0.999 * spec.m_a / norm))

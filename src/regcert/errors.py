@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its four input checks.
+
+Each input rule has one definition: ``positive_finite`` (0 < x < inf),
+``count`` (at least 1), ``choice`` (one of a tuple) and ``vector`` (shape
+(n,)).  A check takes the value, the parameter's name and the error class
+to raise, and returns the value.
+"""
+
+import numpy as np
 
 
 class RegcertError(Exception):
@@ -59,3 +67,32 @@ class DegenerateProblemError(RegcertError):
 
 class UsageError(RegcertError):
     """Bad command line or config file input."""
+
+
+def positive_finite(value, name: str, error=InvalidParameterError):
+    """Return value; raise ``error`` unless 0 < value < inf, so NaN fails too."""
+    if not 0.0 < value < np.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def count(value, name: str, error=InvalidParameterError):
+    """Return value; raise ``error`` when it is below 1."""
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def choice(value, options: tuple, name: str, error=InvalidParameterError):
+    """Return value; raise ``error`` unless it is one of ``options``."""
+    if value not in options:
+        raise error(f"unknown {name} {value!r}; choose one of {options}")
+    return value
+
+
+def vector(value, n: int, name: str, error=InvalidParameterError) -> np.ndarray:
+    """Return value as a float array; raise ``error`` unless its shape is (n,)."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != (n,):
+        raise error(f"{name} has shape {value.shape}, expected ({n},)")
+    return value

@@ -20,6 +20,7 @@ from .errors import (
     InvalidGridError,
     InvalidModelError,
 )
+from .errors import choice, positive_finite
 from .seeding import rng_from
 
 # Array elements per lag block of the fractional-exponent pair scan.
@@ -79,8 +80,7 @@ class HolderSpec:
     def __post_init__(self):
         if not 0.0 <= self.a <= 2.0:
             raise InvalidExponentError(f"exponent must lie in [0, 2], got {self.a}")
-        if not 0.0 < self.m_a < np.inf:
-            raise InvalidExponentError(f"norm bound must be positive and finite, got {self.m_a}")
+        positive_finite(self.m_a, "norm bound", InvalidExponentError)
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,7 @@ class NoisyData:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in NOISE_MODELS:
-            raise InvalidModelError(
-                f"unknown noise model {self.model!r}; choose one of {NOISE_MODELS}"
-            )
+        choice(self.model, NOISE_MODELS, "noise model", InvalidModelError)
         if not 0.0 <= self.delta < np.inf:
             raise InvalidModelError(f"noise radius must be finite and >= 0, got {self.delta}")
 
@@ -203,10 +200,7 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
       seeded-uniform  i.i.d. uniform in [-delta, delta], rescaled so the
                       largest deviation equals delta
     """
-    if model not in NOISE_MODELS:
-        raise InvalidModelError(
-            f"unknown noise model {model!r}; choose one of {NOISE_MODELS}"
-        )
+    # Before the noise is built, where a NaN radius would fail as InvalidGridError.
     if not 0.0 <= delta < np.inf:
         raise InvalidModelError(f"noise radius must be finite and >= 0, got {delta}")
     if delta == 0.0:
@@ -221,7 +215,7 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
         e[int(rng_from(seed).integers(0, n))] = delta
     elif model == "smooth":
         e = delta * np.cos(2.0 * np.pi * f.grid.nodes)
-    else:  # seeded-uniform
+    else:  # seeded-uniform, or a tag NoisyData refuses
         e = rng_from(seed).uniform(-delta, delta, size=n)
         peak = np.max(np.abs(e))
         if peak == 0.0:

@@ -22,6 +22,8 @@ from .errors import (
     InvalidParameterError,
     InvalidSourceError,
 )
+# count as _count: sample_source_set has a parameter named count.
+from .errors import count as _count, positive_finite, vector
 from .seeding import rng_from
 from .spectral import ProblemSpec, SvdTriple, make_problem
 
@@ -42,8 +44,7 @@ class SourceSpec:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise InvalidSourceError(f"order p must lie in (0, 1), got {self.p}")
-        if not 0.0 < self.k_p < np.inf:
-            raise InvalidSourceError(f"radius k_p must be positive and finite, got {self.k_p}")
+        positive_finite(self.k_p, "radius k_p", InvalidSourceError)
 
 
 @dataclass(frozen=True)
@@ -86,15 +87,9 @@ def constants(source: SourceSpec) -> ConstantsPack:
 
 def choose_a(delta: float, source: SourceSpec) -> float:
     """A-priori rule a = b_p * delta^(2/(2p+1))."""
-    if not 0.0 < delta < np.inf:
-        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
+    positive_finite(delta, "noise radius")
     pack = constants(source)
     return float(pack.b_p * delta ** (2.0 / (2.0 * source.p + 1.0)))
-
-
-def _check_a(a: float) -> None:
-    if not 0.0 < a < np.inf:
-        raise InvalidParameterError(f"regularization parameter must be positive and finite, got {a}")
 
 
 def _filter(svd: SvdTriple, a: float) -> np.ndarray:
@@ -107,18 +102,14 @@ def apply(svd: SvdTriple, f_delta: np.ndarray, a: float) -> np.ndarray:
     This is the exact finite-dimensional (T + aI)^{-1} A^T; the output has no
     component on null-space modes, so it converges to the normal solution.
     """
-    _check_a(a)
-    f_delta = np.asarray(f_delta, dtype=float)
-    if f_delta.shape != (svd.n,):
-        raise InvalidParameterError(
-            f"data vector has shape {f_delta.shape}, expected ({svd.n},)"
-        )
+    positive_finite(a, "regularization parameter")
+    f_delta = vector(f_delta, svd.n, "data vector")
     return svd.v @ (_filter(svd, a) * (svd.u.T @ f_delta))
 
 
 def operator_norm(svd: SvdTriple, a: float) -> float:
     """max_i sigma_i/(s_i + a); never exceeds 1/(2 sqrt(a))."""
-    _check_a(a)
+    positive_finite(a, "regularization parameter")
     return float(np.max(_filter(svd, a))) if svd.n else 0.0
 
 
@@ -128,9 +119,7 @@ def source_membership(y: np.ndarray, svd: SvdTriple, source: SourceSpec) -> tupl
     Any coefficient above 1e-14 on an exact null-space mode puts y outside
     the set (value +inf): the weight s^{-2p} diverges there.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (svd.n,):
-        raise InvalidParameterError(f"vector has shape {y.shape}, expected ({svd.n},)")
+    y = vector(y, svd.n, "vector")
     coef = svd.v.T @ y
     pos = svd.sigma > 0.0
     if np.any(np.abs(coef[~pos]) > NULL_COEF_TOL):
@@ -148,8 +137,7 @@ def sample_source_set(
     across the positive modes, with random signs; every sample meets the
     source bound with value k_p^2 up to round-off.
     """
-    if count < 1:
-        raise InvalidParameterError(f"count must be >= 1, got {count}")
+    _count(count, "count")
     pos = np.flatnonzero(svd.sigma > 0.0)
     if pos.size == 0:
         raise DegenerateProblemError("all singular values are zero")
@@ -170,7 +158,7 @@ def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
     Equals k_p * max_i a s_i^p/(s_i + a); bounded by c_p k_p a^p, with
     equality when some s_i hits the maximizer p a/(1 - p).
     """
-    _check_a(a)
+    positive_finite(a, "regularization parameter")
     s = svd.s[svd.sigma > 0.0]
     if s.size == 0:
         return 0.0
@@ -321,9 +309,19 @@ def _feasible(z, c, k_sq, sigma, g, delta_sq, slack=1e-9) -> np.ndarray:
     )
 
 
-def _norms(d: np.ndarray) -> np.ndarray:
-    """Row norms through the BLAS dot np.linalg.norm uses on each row."""
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+def _sqnorms(x: np.ndarray) -> np.ndarray:
+    """x @ x along the last axis, for a vector or a stack of shape (..., n).
+
+    The stacked matmul gives every row the bits of the 1-D dot product (and
+    so of np.linalg.norm squared); einsum and (x * x).sum do not.  [()]
+    turns the 0-d result for a single vector into a scalar.
+    """
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, with the bits of np.linalg.norm per row."""
+    return np.sqrt(_sqnorms(x))
 
 
 def _objective(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -349,10 +347,9 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
 
     Raises InfeasibleError when no y satisfies both constraints.
     """
-    if not 0.0 < delta < np.inf:
-        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
-    _check_a(a)
-    f_delta = np.asarray(f_delta, dtype=float)
+    positive_finite(delta, "noise radius")
+    positive_finite(a, "regularization parameter")
+    f_delta = vector(f_delta, svd.n, "data vector")
     g_full = svd.u.T @ f_delta
     rho_full = _filter(svd, a) * g_full
     pos = svd.sigma > 0.0
@@ -521,8 +518,7 @@ def worst_case_search(
     result is exact there.  Raises InfeasibleError when no y satisfies both
     constraints.
     """
-    if restarts < 1:
-        raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
+    _count(restarts, "restarts")
     search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
     if isinstance(search, float):
         return search
@@ -552,12 +548,9 @@ def certify(
     """
     if not len(deltas):
         raise InvalidParameterError("deltas must be non-empty")
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
-    if restarts < 1:
-        raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
+    _count(trials, "trials")
+    _count(threads, "threads")
+    _count(restarts, "restarts")
     matrix, tri = make_problem(problem)
     pack = constants(source)
     p, k = source.p, source.k_p

@@ -17,12 +17,15 @@ import numpy as np
 
 from .errors import (
     EmptyAdmissibleSetError,
+    InvalidModelError,
     InvalidParameterError,
     ResolutionError,
     StepTooLargeError,
     UnsupportedExponentError,
 )
+from .errors import choice, count, positive_finite
 from .function_space import (
+    NOISE_MODELS,
     Grid,
     HolderSpec,
     NoisyData,
@@ -105,8 +108,7 @@ def step_size(delta: float, spec: HolderSpec, grid: Optional[Grid] = None) -> fl
     c_a = ((a - 1) * m_a)**(-1/a) is the exact minimizer of the budget.
     With a grid supplied, h is clamped into [dx, 1/2].
     """
-    if not 0.0 < delta < np.inf:
-        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
+    positive_finite(delta, "noise radius")
     if spec.a <= 1.0:
         raise UnsupportedExponentError(
             f"difference regularizer needs exponent a > 1 (got a={spec.a}); "
@@ -141,12 +143,8 @@ def differentiate(data: NoisyData, spec: HolderSpec, boundary: str = "sound") ->
       the 64 cells of acceptance criterion 1 (by up to ~10%).  Kept for
       that reproduction.  Needs h < 1/2.
     """
-    if boundary not in BOUNDARY_STENCILS:
-        raise InvalidParameterError(
-            f"unknown boundary stencil {boundary!r}; choose from {BOUNDARY_STENCILS}"
-        )
-    if data.delta <= 0.0:
-        raise InvalidParameterError("differentiate needs delta > 0")
+    choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
+    positive_finite(data.delta, "noise radius")
     grid = data.f_delta.grid
     m, h = _snapped_step(data.delta, spec, grid)
     f = data.f_delta.values
@@ -228,8 +226,7 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
     The amplitude scales like delta**(a/(a+1)); at a = 0 it is independent
     of delta, the signature of a class too large to regularize.
     """
-    if not 0.0 < delta < np.inf:
-        raise InvalidParameterError(f"noise radius must be positive and finite, got {delta}")
+    positive_finite(delta, "noise radius")
     if not 0.0 < center < 1.0:
         raise InvalidParameterError(f"bump center must lie in (0, 1), got {center}")
     # Snap the center to a node so the bump peak (and hence the separation)
@@ -357,8 +354,7 @@ def empirical_sup_error(
     The result is a lower estimate of the true supremum over the admissible
     set.  ``boundary`` selects the stencil of ``differentiate``.
     """
-    if n_samples < 1:
-        raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
+    count(n_samples, "n_samples")
     r_out = differentiate(data, spec, boundary)
     if candidates is None:
         grid = data.f_delta.grid
@@ -396,9 +392,14 @@ def certify(
     empirical_sup_error over a pool anchored at the truth, seeded by
     (seed, delta index, model index).  The certificate's lower bound is the
     max over models; it passes when that stays within the budget total.
+    Every count, model and stencil is checked before any norm is computed.
     """
     if not len(deltas) or not len(models):
         raise InvalidParameterError("deltas and models must be non-empty")
+    count(samples, "samples")
+    for model in models:
+        choice(model, NOISE_MODELS, "noise model", InvalidModelError)
+    choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
     f = integrate_volterra(truth)
     certs = []
     for di, delta in enumerate(deltas):

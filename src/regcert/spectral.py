@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrixError
+from .errors import InvalidMatrixError, choice, positive_finite
 from .seeding import rng_from
 
 MAX_DENSE_N = 1024
@@ -63,16 +63,13 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in PROBLEM_KINDS:
-            raise InvalidMatrixError(
-                f"unknown problem kind {self.kind!r}; choose one of {PROBLEM_KINDS}"
-            )
+        choice(self.kind, PROBLEM_KINDS, "problem kind", InvalidMatrixError)
         if not 1 <= self.n <= MAX_DENSE_N:
             raise InvalidMatrixError(f"dimension must lie in [1, {MAX_DENSE_N}], got {self.n}")
         if self.kind == "volterra" and self.n < 3:
             raise InvalidMatrixError("volterra problem needs n >= 3")
-        if self.kind != "volterra" and not 0.0 < self.q < np.inf:
-            raise InvalidMatrixError(f"decay exponent must be positive and finite, got {self.q}")
+        if self.kind != "volterra":
+            positive_finite(self.q, "decay exponent", InvalidMatrixError)
 
 
 def svd(a: np.ndarray) -> SvdTriple:

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, InvalidMatrixError, InvalidParameterError
-from .linreg import apply
+from .errors import choice, count, positive_finite, vector
+from .linreg import _norms as _norm, _sqnorms, apply
 from .seeding import rng_from
 from .spectral import ProblemSpec, SvdTriple, make_problem, svd
 
@@ -38,12 +39,8 @@ class NonlinearProblem:
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise InvalidMatrixError(f"B must be square, got shape {b.shape}")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise InvalidMatrixError(
-                f"unknown nonlinearity {self.nonlinearity!r}; choose one of {NONLINEARITIES}"
-            )
-        if not 0.0 < self.phi_cap < np.inf:
-            raise InvalidParameterError(f"phi cap must be positive and finite, got {self.phi_cap}")
+        choice(self.nonlinearity, NONLINEARITIES, "nonlinearity", InvalidMatrixError)
+        positive_finite(self.phi_cap, "phi cap")
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
@@ -106,29 +103,15 @@ def make_nonlinear_problem(
     return NonlinearProblem(b=b, nonlinearity=nonlinearity, phi_cap=phi_cap, b_svd=tri)
 
 
-def _sqnorm(x: np.ndarray) -> np.ndarray:
-    """x @ x along the last axis, for a vector or a stack of shape (..., n).
-
-    The stacked matmul gives every row the bits of the 1-D dot product (and
-    so of np.linalg.norm squared); einsum and (x * x).sum do not.  [()]
-    turns the 0-d result for a single vector into a scalar.
-    """
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(_sqnorm(x))
-
-
 def phi(v: np.ndarray) -> float:
     """||v||^2 of a vector, or of each row of a stack of shape (..., n)."""
-    return _sqnorm(np.asarray(v, dtype=float))
+    return _sqnorms(np.asarray(v, dtype=float))
 
 
 def functional(problem: NonlinearProblem, v: np.ndarray, f_delta: np.ndarray, delta: float) -> float:
     """F(v) = ||A(v) - f_delta|| + delta * ||v||^2, per row for a stack (..., n)."""
-    if not 0.0 < delta < np.inf:
-        raise InvalidParameterError(f"delta must be positive and finite, got {delta}")
+    positive_finite(delta, "delta")
+    f_delta = vector(f_delta, problem.n, "data vector")
     v = np.asarray(v, dtype=float)
     return _norm(problem.forward(v) - f_delta) + delta * phi(v)
 
@@ -231,17 +214,15 @@ def minimize(
     iterations per phase and start.  The starts run as the rows of one array
     (see _descend), each exactly as it would alone.
     """
-    if not 0.0 < delta < np.inf:
-        raise InvalidParameterError(f"delta must be positive and finite, got {delta}")
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    positive_finite(delta, "delta")
+    count(budget, "budget")
     extra_starts = [] if extra_starts is None else list(extra_starts)
     if restarts < 2 + len(extra_starts):
         raise InvalidParameterError(
             f"restarts must be >= {2 + len(extra_starts)} (the origin, the linearized "
             f"start and {len(extra_starts)} extra starts), got {restarts}"
         )
-    f_delta = np.asarray(f_delta, dtype=float)
+    f_delta = vector(f_delta, problem.n, "data vector")
     cap = problem.phi_cap
     n = problem.n
 
@@ -303,14 +284,14 @@ def convergence_study(
     Per delta: data f_delta = A(u_true) + seeded noise of Euclidean radius
     delta, one minimize call, and the distance of its minimizer to the truth.
     """
-    u_true = np.asarray(u_true, dtype=float)
+    u_true = vector(u_true, problem.n, "u_true")
     if phi(u_true) > problem.phi_cap:
         raise InvalidParameterError(
             f"phi(u_true)={phi(u_true):.3g} exceeds the cap {problem.phi_cap:.3g}"
         )
-    deltas = [float(d) for d in delta_seq]
-    if not deltas or not all(0.0 < d < np.inf for d in deltas):
-        raise InvalidParameterError(f"delta_seq must be positive and finite, got {deltas}")
+    deltas = [positive_finite(float(d), "delta") for d in delta_seq]
+    if not deltas:
+        raise InvalidParameterError("delta_seq must be non-empty")
     if sorted(deltas, reverse=True) != deltas:
         raise InvalidParameterError("delta_seq must be decreasing")
     f_exact = problem.forward(u_true)

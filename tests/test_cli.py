@@ -166,7 +166,8 @@ class TestExitCodes:
     def test_bad_config_file_exit_one(self, tmp_path, caplog):
         base = ["witness", "--n", "257", "--a", "2", "--m", "1", "--deltas", "1e-3"]
         for name, text, phrase in (("broken.json", '{"n": 257,', "not valid JSON"),
-                                   ("array.json", "[257]", "must hold a JSON object")):
+                                   ("array.json", "[257]", "must hold a JSON object"),
+                                   ("typo.json", '{"trails": 2}', "unknown key")):
             path = tmp_path / name
             path.write_text(text)
             with pytest.raises(UsageError, match=phrase):
@@ -324,6 +325,13 @@ _BAD_PARAMETER_ARGV = {
                       "--delta", "1e-3", "--q", "inf"], "decay exponent must"),
     "certify-linear-threads-0": (_LINEAR + ["--k", "1", "--threads", "0"], "threads must"),
     "certify-linear-threads-neg": (_LINEAR + ["--k", "1", "--threads", "-2"], "threads must"),
+    "certify-linear-trials-0": (_LINEAR + ["--k", "1", "--trials", "0"], "trials must"),
+    "certify-diff-samples-0": (["certify-diff", "--n", "257", "--a", "2", "--m", "1",
+                                "--samples", "0", "--deltas", "1e-3"], "samples must"),
+    "varmin-budget-0": (["varmin", "--n", "3", "--budget", "0", "--delta", "1e-3"],
+                        "budget must"),
+    "study-budget-0": (["study", "--n", "3", "--budget", "0", "--deltas", "1e-3"],
+                       "budget must"),
     "certify-diff-m-inf": (["certify-diff", "--n", "257", "--a", "2", "--m", "inf",
                             "--samples", "2", "--deltas", "1e-3"], "norm bound must"),
     "differentiate-m-inf": (["differentiate", "--n", "257", "--a", "2", "--m", "inf",
