@@ -1,9 +1,10 @@
-"""Exception types shared across the toolkit, and its four input checks.
+"""Exception types shared across the toolkit, and its five input checks.
 
 Each input rule has one definition: ``positive_finite`` (0 < x < inf),
-``count`` (at least 1), ``choice`` (one of a tuple) and ``vector`` (shape
-(n,)).  A check takes the value, the parameter's name and the error class
-to raise, and returns the value.
+``within`` (an interval), ``count`` (an integer >= 1; a sequence is
+non-empty when ``count(len(seq))`` passes), ``choice`` (one of a tuple) and
+``vector`` (shape (n,)).  A check takes the value, the parameter's name and
+the error class to raise, and returns the value.
 """
 
 import numpy as np
@@ -76,10 +77,19 @@ def positive_finite(value, name: str, error=InvalidParameterError):
     return value
 
 
+def within(value, lo, hi, name: str, error=InvalidParameterError, ends="[]"):
+    """Return value; raise ``error`` unless it lies in the interval lo, hi with
+    the ends ``ends`` writes ("[", "]" closed, "(", ")" open), so NaN fails too."""
+    if not ((lo <= value if ends[0] == "[" else lo < value)
+            and (value <= hi if ends[1] == "]" else value < hi)):
+        raise error(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
+    return value
+
+
 def count(value, name: str, error=InvalidParameterError):
-    """Return value; raise ``error`` when it is below 1."""
-    if value < 1:
-        raise error(f"{name} must be >= 1, got {value}")
+    """Return value; raise ``error`` unless it is an integer (int or np.integer, not bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value}")
     return value
 
 

@@ -20,7 +20,7 @@ from .errors import (
     InvalidGridError,
     InvalidModelError,
 )
-from .errors import choice, positive_finite
+from .errors import choice, positive_finite, within
 from .seeding import rng_from
 
 # Array elements per lag block of the fractional-exponent pair scan.
@@ -78,8 +78,7 @@ class HolderSpec:
     m_a: float
 
     def __post_init__(self):
-        if not 0.0 <= self.a <= 2.0:
-            raise InvalidExponentError(f"exponent must lie in [0, 2], got {self.a}")
+        within(self.a, 0, 2, "exponent", InvalidExponentError)
         positive_finite(self.m_a, "norm bound", InvalidExponentError)
 
 
@@ -98,8 +97,7 @@ class NoisyData:
 
     def __post_init__(self):
         choice(self.model, NOISE_MODELS, "noise model", InvalidModelError)
-        if not 0.0 <= self.delta < np.inf:
-            raise InvalidModelError(f"noise radius must be finite and >= 0, got {self.delta}")
+        within(self.delta, 0, np.inf, "noise radius", InvalidModelError, "[)")
 
 
 def integrate_volterra(u: SampledFunction) -> SampledFunction:
@@ -179,8 +177,7 @@ def holder_norm(u: SampledFunction, a: float) -> float:
     estimate of the continuum norm it is from below and grows under grid
     refinement.
     """
-    if not 0.0 <= a <= 2.0:
-        raise InvalidExponentError(f"exponent must lie in [0, 2], got {a}")
+    within(a, 0, 2, "exponent", InvalidExponentError)
     dx = u.grid.dx
     v = u.values
     if a <= 1.0:
@@ -201,8 +198,7 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
                       largest deviation equals delta
     """
     # Before the noise is built, where a NaN radius would fail as InvalidGridError.
-    if not 0.0 <= delta < np.inf:
-        raise InvalidModelError(f"noise radius must be finite and >= 0, got {delta}")
+    within(delta, 0, np.inf, "noise radius", InvalidModelError, "[)")
     if delta == 0.0:
         return NoisyData(SampledFunction(f.grid, f.values), 0.0, model, seed)
     n = f.grid.n

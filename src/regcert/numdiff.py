@@ -18,12 +18,11 @@ import numpy as np
 from .errors import (
     EmptyAdmissibleSetError,
     InvalidModelError,
-    InvalidParameterError,
     ResolutionError,
     StepTooLargeError,
     UnsupportedExponentError,
 )
-from .errors import choice, count, positive_finite
+from .errors import choice, count, positive_finite, within
 from .function_space import (
     NOISE_MODELS,
     Grid,
@@ -227,8 +226,7 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
     of delta, the signature of a class too large to regularize.
     """
     positive_finite(delta, "noise radius")
-    if not 0.0 < center < 1.0:
-        raise InvalidParameterError(f"bump center must lie in (0, 1), got {center}")
+    within(center, 0, 1, "bump center", ends="()")
     # Snap the center to a node so the bump peak (and hence the separation)
     # is realized exactly on the grid.
     center = grid.nodes[int(round(center * (grid.n - 1)))]
@@ -392,18 +390,19 @@ def certify(
     empirical_sup_error over a pool anchored at the truth, seeded by
     (seed, delta index, model index).  The certificate's lower bound is the
     max over models; it passes when that stays within the budget total.
-    Every count, model and stencil is checked before any norm is computed.
+    Every count, model, stencil and delta (through its budget) is checked
+    before any norm is computed.
     """
-    if not len(deltas) or not len(models):
-        raise InvalidParameterError("deltas and models must be non-empty")
+    count(len(deltas), "number of deltas")
+    count(len(models), "number of noise models")
     count(samples, "samples")
     for model in models:
         choice(model, NOISE_MODELS, "noise model", InvalidModelError)
     choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
+    budgets = [error_budget(delta, spec, truth.grid) for delta in deltas]
     f = integrate_volterra(truth)
     certs = []
-    for di, delta in enumerate(deltas):
-        budget = error_budget(delta, spec, truth.grid)
+    for di, (delta, budget) in enumerate(zip(deltas, budgets)):
         emp = 0.0
         for mi, model in enumerate(models):
             data = add_noise(f, delta, model, seed)

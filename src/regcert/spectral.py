@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrixError, choice, positive_finite
+from .errors import InvalidMatrixError, choice, count, positive_finite, within
 from .seeding import rng_from
 
 MAX_DENSE_N = 1024
@@ -64,8 +64,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         choice(self.kind, PROBLEM_KINDS, "problem kind", InvalidMatrixError)
-        if not 1 <= self.n <= MAX_DENSE_N:
-            raise InvalidMatrixError(f"dimension must lie in [1, {MAX_DENSE_N}], got {self.n}")
+        count(self.n, "dimension", InvalidMatrixError)
+        within(self.n, 1, MAX_DENSE_N, "dimension", InvalidMatrixError)
         if self.kind == "volterra" and self.n < 3:
             raise InvalidMatrixError("volterra problem needs n >= 3")
         if self.kind != "volterra":

@@ -216,6 +216,7 @@ def minimize(
     """
     positive_finite(delta, "delta")
     count(budget, "budget")
+    count(restarts, "restarts")
     extra_starts = [] if extra_starts is None else list(extra_starts)
     if restarts < 2 + len(extra_starts):
         raise InvalidParameterError(
@@ -290,8 +291,7 @@ def convergence_study(
             f"phi(u_true)={phi(u_true):.3g} exceeds the cap {problem.phi_cap:.3g}"
         )
     deltas = [positive_finite(float(d), "delta") for d in delta_seq]
-    if not deltas:
-        raise InvalidParameterError("delta_seq must be non-empty")
+    count(len(deltas), "number of deltas")
     if sorted(deltas, reverse=True) != deltas:
         raise InvalidParameterError("delta_seq must be decreasing")
     f_exact = problem.forward(u_true)
