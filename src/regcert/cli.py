@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linreg, numdiff, spectral, varreg
-from .errors import RegcertError, UsageError, choice
+from .errors import RegcertError, UsageError, choice, count, positive_finite
 from .function_space import (
     Grid,
     HolderSpec,
@@ -79,11 +79,10 @@ def parse_deltas(value) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].startswith("log"):
             raise UsageError(f"bad sweep {text!r}; expected start:stop:logN")
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2][3:])
-        if start <= 0 or stop <= 0 or count < 1:
-            raise UsageError(f"bad sweep {text!r}; endpoints must be positive")
-        return [float(d) for d in np.logspace(np.log10(start), np.log10(stop), count)]
+        start, stop = (positive_finite(float(x), "sweep endpoint", UsageError)
+                       for x in parts[:2])
+        num = count(int(parts[2][3:]), "sweep count", UsageError)
+        return [float(d) for d in np.logspace(np.log10(start), np.log10(stop), num)]
     out = [float(tok) for tok in text.split(",") if tok.strip()]
     if not out:
         raise UsageError(f"empty delta list {text!r}")

@@ -4,9 +4,10 @@ The singular triple (U, sigma, V) of a square matrix A carries everything
 the spectral calculus needs: T = A^T A has eigenvalues s_i = sigma_i^2 with
 eigenvectors the columns of V, and functions of T act diagonally there.
 
-The diagonal gallery kinds are built from their own SVD, A = Q1 diag(d) Q2^T,
-so they carry the triple by construction; only the volterra matrix goes
-through the dense LAPACK SVD.
+No gallery kind runs a dense SVD.  The diagonal kinds are built from their
+own SVD, A = Q1 diag(d) Q2^T, so they carry the triple by construction; the
+volterra matrix's triple has a closed form (``_volterra_triple``).  ``svd``
+stays as the dense LAPACK SVD of a general square matrix.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ class ProblemSpec:
 
 
 def svd(a: np.ndarray) -> SvdTriple:
-    """SVD of a square matrix, singular values sorted descending.
+    """SVD of a general square matrix (dense LAPACK), singular values sorted
+    descending.  The gallery kinds do not need it: ``make_problem`` builds
+    their triples in closed form.
 
     Values below 1e-14 * sigma_max are flushed to exact zero so null-space
     modes are detected reliably.
@@ -108,6 +111,57 @@ def volterra_matrix(n: int) -> np.ndarray:
     return a
 
 
+def _volterra_triple(n: int) -> SvdTriple:
+    """Closed-form SVD of ``volterra_matrix(n)``.
+
+    With m = n - 1 and h = 1/m, row 0 is zero and rows 1..m are (h/2) L B,
+    L the m x m lower-triangular ones and B[i, i] = B[i, i+1] = 1.  The
+    positive modes are sigma_k = (h/2) cot(theta_k/2), k = 1..m, where
+    theta_k in (0, pi) solves m theta + phi(theta) = (k - 1/2) pi with
+    phi(theta) = arctan(tan(theta/2) / 2).  With alpha_i = (i + 1/2) theta_k
+    + phi_k, u_k = [0, sin alpha_0, ..., sin alpha_{m-1}] and v_k = [cos phi_k
+    / (2 cos(theta_k/2)), cos alpha_0, ..., cos alpha_{m-1}], both
+    normalized, so v_k[0] > 0 and u_k[1] > 0.  The null pair is u = e_0,
+    v_j = (-1)^j / sqrt(n).
+    """
+    m = n - 1
+    k = np.arange(1, m + 1)
+    target = (k - 0.5) * np.pi
+    theta = target / (m + 0.25)
+    # Newton on m theta + phi(theta); phi' = (1 + t^2)/(4 + t^2) with
+    # t = tan(theta/2), so the slope lies in [m + 1/4, m + 1).  Four steps
+    # converge for every n <= MAX_DENSE_N.
+    for _ in range(8):
+        half_cos, half_sin = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        t2 = (half_sin / half_cos) ** 2
+        step = (m * theta + np.arctan2(half_sin, 2.0 * half_cos) - target) / (
+            m + (1.0 + t2) / (4.0 + t2)
+        )
+        theta -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    half = 0.5 * theta
+    phi = np.arctan2(np.sin(half), 2.0 * np.cos(half))
+    # alpha = x theta_k + phi_k for x = i + 1/2, with theta_k = ((k - 1/2) pi
+    # - phi_k)/m: x (k - 1/2) pi / m = pi (2x)(2k - 1) / (4m), whose integer
+    # number of half-turns is reduced exactly, modulo 8m, before scaling.
+    # Unreduced, U's orthogonality error grows to about 3e-13 at n = 1024.
+    two_x = np.arange(1, 2 * m, 2)
+    alpha = np.outer(2 * k - 1, two_x) % (8 * m) * (np.pi / (4 * m))
+    alpha += phi[:, None] * (1.0 - two_x / (2.0 * m))
+    ut = np.zeros((n, n))
+    vt = np.empty((n, n))
+    np.sin(alpha, out=ut[:m, 1:])
+    np.cos(alpha, out=vt[:m, 1:])
+    vt[:m, 0] = np.cos(phi) / (2.0 * np.cos(half))
+    ut[:m] /= np.linalg.norm(ut[:m], axis=1)[:, None]
+    vt[:m] /= np.linalg.norm(vt[:m], axis=1)[:, None]
+    ut[m, 0] = 1.0
+    vt[m] = (-1.0) ** np.arange(n) / np.sqrt(n)
+    sigma = np.append(0.5 / (m * np.tan(half)), 0.0)
+    return SvdTriple(u=ut.T, sigma=_flush_null_modes(sigma), v=vt.T)
+
+
 def _seeded_orthogonal(n: int, rng) -> np.ndarray:
     m = rng.standard_normal((n, n))
     q, r = np.linalg.qr(m)
@@ -120,11 +174,11 @@ def make_problem(spec: ProblemSpec) -> tuple[np.ndarray, SvdTriple]:
 
     The diagonal kinds are assembled as A = Q1 diag(d) Q2^T from the
     descending power law d_k = k^-q (Q1 = Q2 = I for ``diagonal``), so their
-    triple is (Q1, d, Q2) with no factorization; ``volterra`` runs ``svd``.
+    triple is (Q1, d, Q2) with no factorization; ``volterra``'s comes from
+    its closed form.  No kind runs a dense SVD.
     """
     if spec.kind == "volterra":
-        a = volterra_matrix(spec.n)
-        return a, svd(a)
+        return volterra_matrix(spec.n), _volterra_triple(spec.n)
     d = np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)
     if spec.kind == "diagonal":
         q1 = q2 = np.eye(spec.n)

@@ -336,6 +336,12 @@ _BAD_PARAMETER_ARGV = {
                             "--samples", "2", "--deltas", "1e-3"], "norm bound must"),
     "differentiate-m-inf": (["differentiate", "--n", "257", "--a", "2", "--m", "inf",
                              "--delta", "1e-3"], "norm bound must"),
+    "sweep-count-0": (_LINEAR + ["--k", "1", "--deltas", "1e-3:1e-1:log0"],
+                      "sweep count must be an integer >= 1"),
+    "sweep-stop-inf": (_LINEAR + ["--k", "1", "--deltas", "1e-3:inf:log2"],
+                       "sweep endpoint must be positive and finite, got inf"),
+    "sweep-start-nan": (_LINEAR + ["--k", "1", "--deltas", "nan:1e-1:log2"],
+                        "sweep endpoint must be positive and finite, got nan"),
 }
 
 

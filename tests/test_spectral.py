@@ -87,18 +87,20 @@ def _orthogonal_reference(n, rng):
     return q @ np.diag(np.sign(np.diag(r)))
 
 
+def _no_dense_svd(*args, **kwargs):
+    raise AssertionError("dense SVD called for a gallery kind")
+
+
 class TestClosedForm:
-    """The diagonal kinds return their SVD from their own factors."""
+    """Every gallery kind returns its SVD without a dense factorization: the
+    diagonal kinds from their own factors, volterra from its closed form."""
 
     @pytest.mark.parametrize("n", [1, 2, 24, 256])
     @pytest.mark.parametrize("kind", ["diagonal", "rotated-diagonal"])
     def test_triple_from_factors(self, kind, n, monkeypatch):
-        def no_dense_svd(*args, **kwargs):
-            raise AssertionError("dense SVD called for a diagonal gallery kind")
-
         spec = ProblemSpec(kind, n, q=0.7, seed=5)
         want_a, want_sigma = _diagonal_kind_reference(spec)
-        monkeypatch.setattr(np.linalg, "svd", no_dense_svd)
+        monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
         a, tri = make_problem(spec)
         assert np.array_equal(a, want_a)
         assert np.array_equal(tri.sigma, want_sigma)
@@ -107,6 +109,27 @@ class TestClosedForm:
         assert np.linalg.norm(tri.v.T @ tri.v - eye) <= 1e-12
         recon = tri.u @ np.diag(tri.sigma) @ tri.v.T
         assert np.max(np.abs(recon - a)) <= 1e-13 * tri.sigma[0]
+        for arr in (tri.u, tri.sigma, tri.v):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 256, 1024])
+    def test_volterra_triple_closed_form(self, n, monkeypatch):
+        want_sigma = np.linalg.svd(volterra_matrix(n), compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
+        a, tri = make_problem(ProblemSpec("volterra", n))
+        assert np.array_equal(a, volterra_matrix(n))
+        top = tri.sigma[0]
+        assert np.max(np.abs(tri.sigma - want_sigma)) <= 1e-14 * top
+        eye = np.eye(n)
+        assert np.max(np.abs(tri.u.T @ tri.u - eye)) <= 1e-13
+        assert np.max(np.abs(tri.v.T @ tri.v - eye)) <= 1e-13
+        assert np.max(np.abs((tri.u * tri.sigma) @ tri.v.T - a)) <= 1e-14 * top
+        # The null pair is exact: u = e_0, v_j = (-1)^j / sqrt(n), sigma = 0.
+        assert tri.sigma[-1] == 0.0 and np.all(np.diff(tri.sigma) < 0)
+        assert np.array_equal(tri.u[:, -1], eye[0])
+        assert np.array_equal(tri.v[:, -1], (-1.0) ** np.arange(n) / np.sqrt(n))
+        # The sign convention: v_k[0] > 0 and u_k[1] > 0 on every positive mode.
+        assert np.all(tri.v[0, :-1] > 0) and np.all(tri.u[1, :-1] > 0)
         for arr in (tri.u, tri.sigma, tri.v):
             assert not arr.flags.writeable
 
