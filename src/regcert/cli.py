@@ -152,7 +152,9 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("k", _float, required=True, help="source radius"),
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
         Opt("trials", _int, default=16, help="seeded (y, noise) draws per delta"),
-        Opt("threads", _int, default=1, help="worker threads for the blocks of searches"),
+        Opt("threads", _int, default=1,
+            help="workers for the blocks of searches: forked processes where available, "
+                 "at most one per usable CPU; the CSV is the same for any count"),
         *_COMMON,
     ],
     "varmin": [

@@ -10,6 +10,9 @@ searched lower estimate over the admissible set on the other.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -519,6 +522,81 @@ def worst_case_search(
     return _ascend(svd, source, [search], 40)[0]
 
 
+# certify's workers.  A block's ascent is a Python loop over numpy calls on
+# ~2^14-element arrays, so threads serialize on the interpreter lock; worker
+# processes do not.  They are forked, not spawned, so they start without a
+# fresh import and without being sent the searches, and only after the
+# parent has made every BLAS call: OpenBLAS's idle pool keeps spinning after
+# a threaded call (a 0.5 s sleep after one gemv with a 1024 x 1024 matrix
+# burns 0.12 s of CPU on 2 cores), a fork shuts the parent's pool down, and
+# a child that made a threaded call would spin up one of its own.  The
+# children run only _ascend, whose products are single-threaded dots.
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _child(fn, part, read: int, write: int) -> None:
+    """In a forked child: pipe back (True, fn(part)) or (False, exception), exit."""
+    try:
+        os.close(read)
+        try:
+            out = (True, fn(part))
+        except BaseException as exc:  # the parent re-raises it
+            out = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+    finally:
+        os._exit(0)
+
+
+def _map_forked(fn, parts: list) -> list:
+    """[fn(part) for part in parts]: parts[0] here, each other in a forked child.
+
+    The parent reads every child's pipe to its end and reaps every child on
+    every path, killing them first when it raises; then it re-raises the
+    first child exception, in part order, with its own type.
+    """
+    children = []  # (pid, read end of its pipe)
+    finished = False
+    try:
+        for part in parts[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(fn, part, read, write)
+            os.close(write)
+            children.append((pid, read))
+        results = [fn(parts[0])]
+        sent = []
+        for _, read in children:
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+        finished = True
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for (pid, _), data in zip(children, sent):
+        if not data:
+            raise RuntimeError(f"search worker {pid} exited without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def certify(
     problem: ProblemSpec,
     source: SourceSpec,
@@ -537,11 +615,14 @@ def certify(
     recorded empirical lower bound is the max over trials of the ascent of
     worst_case_search, run for 30 steps from `restarts` starts (against
     worst_case_search's 40 steps from 32 starts by default).
-    The (delta, trial) tasks run in blocks of whole tasks, every restart of
-    a block as one row of its arrays, and `threads` workers take the blocks.
-    Results are identical for any thread count and block size: every task is
-    seeded independently, every row runs on its own, and values are reduced
-    in index order.
+    Every task is drawn and prepared here first; the searches then run in
+    blocks of whole searches, every restart of a block as one row of its
+    arrays.  With `threads` > 1 the blocks are split into at most
+    min(threads, blocks, usable CPUs) contiguous shares: this process runs
+    the first and a forked child process runs each other one (threads,
+    where os.fork is missing).  Results are identical for any thread count
+    and block size: every task is seeded independently, every row runs on
+    its own, and values are reduced in index order.
     """
     _count(len(deltas), "number of deltas")
     _count(trials, "trials")
@@ -568,19 +649,27 @@ def certify(
             tri, source, f_delta, delta, a, restarts, seed=int(rng.integers(0, 2**63))
         )
 
-    def one_block(block: list[tuple[int, int]]) -> list[float]:
-        items = [one_trial(di, ti) for di, ti in block]
-        found = iter(_ascend(tri, source, [x for x in items if isinstance(x, _Search)], 30))
-        return [x if isinstance(x, float) else next(found) for x in items]
+    def ascend(share: list[list[_Search]]) -> list[float]:
+        return [v for block in share for v in _ascend(tri, source, block, 30)]
 
-    tasks = [(di, ti) for di in range(len(deltas)) for ti in range(trials)]
+    # Every BLAS call (make_problem, and the gemvs of one_trial and _prepare)
+    # runs before any worker starts; see _map_forked.
+    items = [one_trial(di, ti) for di in range(len(deltas)) for ti in range(trials)]
+    searches = [x for x in items if isinstance(x, _Search)]
     per_block = max(1, _SEARCH_BLOCK // (restarts * tri.n))
-    blocks = [tasks[i:i + per_block] for i in range(0, len(tasks), per_block)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = [v for block in pool.map(one_block, blocks) for v in block]
+    blocks = [searches[i:i + per_block] for i in range(0, len(searches), per_block)]
+    workers = min(threads, len(blocks), _usable_cpus())
+    shares = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
+              for i in range(workers)]
+    if len(shares) <= 1:
+        found = [ascend(share) for share in shares]
+    elif hasattr(os, "fork"):
+        found = _map_forked(ascend, shares)
     else:
-        values = [v for block in blocks for v in one_block(block)]
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            found = list(pool.map(ascend, shares))
+    found = iter([v for share in found for v in share])
+    values = [x if isinstance(x, float) else next(found) for x in items]
 
     certs = []
     for di, (delta, a) in enumerate(zip(deltas, a_of)):

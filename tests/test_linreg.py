@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -540,6 +541,78 @@ class TestCertify:
             monkeypatch.setattr(linreg, "_SEARCH_BLOCK", budget)
             got.append(certify(*args, **kwargs))
         assert got[0] == got[1] == got[2]
+
+    # Two deltas x six trials, one task (4 restarts of 24 elements) per block:
+    # twelve blocks for the workers to share.
+    FAN_OUT = (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4])
+
+    @pytest.fixture
+    def fan_out(self, monkeypatch):
+        """Twelve one-task blocks; returns the list each os.fork call appends to."""
+        monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 4 * 24)
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    def test_every_task_prepared_before_first_fork(self, fan_out, monkeypatch):
+        # The parent makes every BLAS call before it forks; a gemv in a
+        # child would restart OpenBLAS's spinning thread pool there.
+        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 3)
+        prepared, prepare = [], linreg._prepare
+
+        def recorded_prepare(svd, source, f_delta, delta, *args, **kwargs):
+            prepared.append(delta)
+            return prepare(svd, source, f_delta, delta, *args, **kwargs)
+
+        seen_at_fork, fork = [], os.fork
+
+        def recorded_fork():
+            seen_at_fork.append(list(prepared))
+            return fork()
+
+        monkeypatch.setattr(linreg, "_prepare", recorded_prepare)
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        certify(*self.FAN_OUT, trials=6, seed=17, threads=3)
+        assert len(fan_out) == 2
+        assert sorted(seen_at_fork[0]) == [1e-4] * 6 + [1e-2] * 6
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_workers_reaped_and_errors_keep_their_type(self, fan_out, monkeypatch, where):
+        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 4)
+        certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
+        assert len(fan_out) == 3
+        assert certs == certify(*self.FAN_OUT, trials=6, seed=17)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        parent, ascend = os.getpid(), linreg._ascend
+
+        def failing_ascend(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise InfeasibleError(f"{where} failed")
+            return ascend(*args)
+
+        monkeypatch.setattr(linreg, "_ascend", failing_ascend)
+        with pytest.raises(InfeasibleError, match=f"{where} failed"):
+            certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_capped_at_usable_cpus(self, fan_out):
+        certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=10**6)
+        assert len(fan_out) == min(12, linreg._usable_cpus()) - 1
+        assert certs == certify(*self.FAN_OUT, trials=6, seed=17)
+
+    def test_threads_where_fork_is_missing(self, fan_out, monkeypatch):
+        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
+        assert certs == certify(*self.FAN_OUT, trials=6, seed=17)
 
     def test_task_value_independent_of_its_block(self, rng):
         m, tri = make_problem(ProblemSpec("volterra", 48))
