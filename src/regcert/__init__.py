@@ -6,6 +6,26 @@ them against the supremum of the error over every admissible solution
 consistent with the data, not just one fixed truth.
 """
 
+import os as _os
+import sys as _sys
+
+# Load OpenBLAS with one thread.  regcert's parallelism is certify's forked
+# workers, and its dense work stops at n ~ 1e3, so a BLAS pool only adds an
+# idle worker that spins after every threaded call (~0.1 s of CPU per short
+# CLI process on 2 cores).  OpenBLAS reads these variables once, when it
+# loads, so the one set here is removed again at once and no subprocess
+# inherits it.  A caller who set any of them, or loaded numpy first, keeps
+# their own pool.
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .function_space import (
     Grid,
     HolderSpec,

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and its five input checks.
+"""Exception types shared across the toolkit, its five input checks, and the
+one tolerance factor of its bound checks.
 
 Each input rule has one definition: ``positive_finite`` (0 < x < inf),
 ``within`` (an interval), ``count`` (an integer >= 1; a sequence is
@@ -8,6 +9,12 @@ the error class to raise, and returns the value.
 """
 
 import numpy as np
+
+# A value passes a bound check when it is at most bound * BOUND_TOL: the
+# factor absorbs float round-off on boundary members without accepting
+# genuinely out-of-class candidates.  The admissibility and pass tests of
+# all three constructions scale their bounds by it.
+BOUND_TOL = 1.0 + 1e-9
 
 
 class RegcertError(Exception):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateProblemError, InfeasibleError, InvalidSourceError
+from .errors import BOUND_TOL, DegenerateProblemError, InfeasibleError, InvalidSourceError
 # count as _count: sample_source_set has a parameter named count.
 from .errors import count as _count, positive_finite, vector, within
 from .seeding import rng_from
@@ -29,7 +29,7 @@ from .spectral import ProblemSpec, SvdTriple, make_problem
 # genuine component outside the source set.
 NULL_COEF_TOL = 1e-14
 
-PASS_TOL = 1.0 + 1e-9
+PASS_TOL = BOUND_TOL  # the earlier name, still importable
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def source_membership(y: np.ndarray, svd: SvdTriple, source: SourceSpec) -> tupl
     if np.any(np.abs(coef[~pos]) > NULL_COEF_TOL):
         return float("inf"), False
     value = float(np.sum(svd.s[pos] ** (-2.0 * source.p) * coef[pos] ** 2))
-    return value, value <= source.k_p**2 * PASS_TOL
+    return value, value <= source.k_p**2 * BOUND_TOL
 
 
 def sample_source_set(
@@ -393,7 +393,7 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
         lam = lam_hi
     anchor = sigma * g / (s + lam * c)
     min_res_sq = float(np.sum((sigma * anchor - g) ** 2))
-    if min_res_sq > delta_eff_sq * (1.0 + 1e-9) + 1e-300:
+    if min_res_sq > delta_eff_sq * BOUND_TOL + 1e-300:
         raise InfeasibleError(
             f"no admissible y: minimal data residual {np.sqrt(min_res_sq):.3g} "
             f"exceeds the noise radius {np.sqrt(max(delta_eff_sq, 0.0)):.3g}"
@@ -525,12 +525,15 @@ def worst_case_search(
 # certify's workers.  A block's ascent is a Python loop over numpy calls on
 # ~2^14-element arrays, so threads serialize on the interpreter lock; worker
 # processes do not.  They are forked, not spawned, so they start without a
-# fresh import and without being sent the searches, and only after the
-# parent has made every BLAS call: OpenBLAS's idle pool keeps spinning after
-# a threaded call (a 0.5 s sleep after one gemv with a 1024 x 1024 matrix
-# burns 0.12 s of CPU on 2 cores), a fork shuts the parent's pool down, and
-# a child that made a threaded call would spin up one of its own.  The
-# children run only _ascend, whose products are single-threaded dots.
+# fresh import and without being sent the searches.  The package loads
+# OpenBLAS with one thread (see __init__.py), so by default no process has
+# a BLAS pool.  The order below guards callers who raise the BLAS thread
+# count: the parent makes every BLAS call first and forks after.  An idle
+# pool keeps spinning after a threaded call (a 0.5 s sleep after one gemv
+# with a 1024 x 1024 matrix burns 0.12 s of CPU on 2 cores), a fork shuts
+# the parent's pool down, and a child that made a threaded call would spin
+# up one of its own.  The children run only _ascend, whose products are
+# single-threaded dots.
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
@@ -690,7 +693,7 @@ def certify(
                 J2_disc=float(j2_disc),
                 rate_bound=float(rate),
                 empirical_lower=float(emp),
-                passed=bool(emp <= rate * PASS_TOL),
+                passed=bool(emp <= rate * BOUND_TOL),
             )
         )
     return certs

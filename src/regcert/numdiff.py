@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BOUND_TOL,
     EmptyAdmissibleSetError,
     InvalidModelError,
     ResolutionError,
@@ -39,13 +40,8 @@ from .seeding import rng_from
 # Mass of the unit bump profile (1 - t^2)^3 over [-1, 1].
 BUMP_MASS = 32.0 / 35.0
 
-# Tolerance factor on admissibility bounds; absorbs float round-off on
-# boundary members without accepting genuinely out-of-class candidates.
-MEMBER_TOL = 1.0 + 1e-9
-
-# A certificate passes when its sampled lower bound stays within the budget
-# up to this factor.
-PASS_TOL = 1.0 + 1e-9
+# The earlier names of errors.BOUND_TOL, still importable.
+MEMBER_TOL = PASS_TOL = BOUND_TOL
 
 # One-sided stencils of ``differentiate``: step 2h (the default, covered by
 # ``error_budget`` at every node) or the paper's step h.
@@ -180,12 +176,12 @@ def membership(v: SampledFunction, data: NoisyData, spec: HolderSpec) -> Members
     """Is v an admissible solution for (f_delta, delta, class)?
 
     residual = sup |cumulative integral of v - f_delta|, norm = grid
-    smoothness norm; both must sit within their bounds (tolerance factor
-    1 + 1e-9).
+    smoothness norm; both must sit within their bounds up to the factor
+    BOUND_TOL = 1 + 1e-9.
     """
     residual = sup_distance(integrate_volterra(v), data.f_delta)
     norm = holder_norm(v, spec.a)
-    ok = residual <= data.delta * MEMBER_TOL and norm <= spec.m_a * MEMBER_TOL
+    ok = residual <= data.delta * BOUND_TOL and norm <= spec.m_a * BOUND_TOL
     return Membership(bool(ok), residual, norm)
 
 
@@ -314,8 +310,8 @@ def _member_candidates(
         return []
     grid = base.grid
     out = [base]
-    res_slack = data.delta * MEMBER_TOL - got.residual
-    norm_slack = spec.m_a * MEMBER_TOL - got.norm
+    res_slack = data.delta * BOUND_TOL - got.residual
+    norm_slack = spec.m_a * BOUND_TOL - got.norm
     if res_slack <= 0.0 or norm_slack <= 0.0:
         return out
     for k in range(n_samples):
@@ -416,5 +412,5 @@ def certify(
                 empirical_sup_error(data, spec, samples, seed=sub_seed,
                                     candidates=pool or None, boundary=boundary),
             )
-        certs.append(Certificate(float(delta), budget, emp, bool(emp <= budget.total * PASS_TOL)))
+        certs.append(Certificate(float(delta), budget, emp, bool(emp <= budget.total * BOUND_TOL)))
     return certs

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidMatrixError, InvalidParameterError
+from .errors import BOUND_TOL, InfeasibleError, InvalidMatrixError, InvalidParameterError
 from .errors import choice, count, positive_finite, vector
 from .linreg import _norms as _norm, _sqnorms, apply
 from .seeding import rng_from
@@ -23,7 +23,7 @@ from .spectral import ProblemSpec, SvdTriple, make_problem, svd
 
 NONLINEARITIES = ("identity", "cubic")
 
-FEAS_TOL = 1.0 + 1e-9
+FEAS_TOL = BOUND_TOL  # the earlier name, still importable
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def minimize(
         r = float(rng.uniform(0.0, 1.0)) ** (1.0 / n) * np.sqrt(cap)
         starts.append(r * d / max(float(np.linalg.norm(d)), 1e-300))
 
-    tol = delta * FEAS_TOL
+    tol = delta * BOUND_TOL
     # Phase A: reach the admissible set.
     v, _, used = _descend(problem, f_delta, None, np.stack(starts), budget)
     total_iters = int(used.sum())
