@@ -10,15 +10,15 @@ only.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from . import linreg, numdiff, spectral, varreg
 from .errors import RegcertError, UsageError, choice, count, positive_finite
 from .function_space import (
     Grid,
@@ -31,6 +31,9 @@ from .function_space import (
     read_function_csv,
 )
 from .seeding import rng_from
+
+if TYPE_CHECKING:
+    from . import varreg
 
 log = logging.getLogger("regcert")
 
@@ -279,10 +282,13 @@ def make_truth(name: str, grid: Grid, spec: HolderSpec, seed: int = 0) -> Sample
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (thin adapters: CSV values equal module outputs exactly)
+# Subcommand handlers (thin adapters: CSV values equal module outputs exactly).
+# Each imports the modules it calls, so a process loads only its own.
 
 
 def _run_differentiate(cfg: RunConfig) -> int:
+    from . import numdiff
+
     p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     if p.get("input"):
@@ -303,6 +309,8 @@ def _run_differentiate(cfg: RunConfig) -> int:
 
 
 def _run_certify_diff(cfg: RunConfig) -> int:
+    from . import numdiff
+
     p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     truth = make_truth(p["truth"], Grid(p["n"]), spec, cfg.seed)
@@ -316,6 +324,8 @@ def _run_certify_diff(cfg: RunConfig) -> int:
 
 
 def _run_witness(cfg: RunConfig) -> int:
+    from . import numdiff
+
     p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     grid = Grid(p["n"])
@@ -327,6 +337,8 @@ def _run_witness(cfg: RunConfig) -> int:
 
 
 def _run_certify_linear(cfg: RunConfig) -> int:
+    from . import linreg, spectral
+
     p = cfg.params
     problem = spectral.ProblemSpec(kind=p["problem"], n=p["n"], q=p["q"], seed=cfg.seed)
     source = linreg.SourceSpec(p=p["p"], k_p=p["k"])
@@ -340,6 +352,8 @@ def _run_certify_linear(cfg: RunConfig) -> int:
 
 
 def _make_var_problem(p: dict, seed: int) -> varreg.NonlinearProblem:
+    from . import varreg
+
     return varreg.make_nonlinear_problem(
         kind=p["matrix"], n=p["n"], nonlinearity=p["nonlinearity"],
         phi_cap=p["cap"], q=p["q"], seed=seed,
@@ -353,6 +367,8 @@ def _seeded_truth_in_ball(n: int, cap: float, seed: int) -> np.ndarray:
 
 
 def _run_varmin(cfg: RunConfig) -> int:
+    from . import varreg
+
     p = cfg.params
     problem = _make_var_problem(p, cfg.seed)
     u_true = _seeded_truth_in_ball(p["n"], p["cap"], cfg.seed)
@@ -367,6 +383,8 @@ def _run_varmin(cfg: RunConfig) -> int:
 
 
 def _run_study(cfg: RunConfig) -> int:
+    from . import varreg
+
     p = cfg.params
     problem = _make_var_problem(p, cfg.seed)
     u_true = _seeded_truth_in_ball(p["n"], p["cap"], cfg.seed)
@@ -407,7 +425,12 @@ def run(argv) -> int:
 
 def main() -> None:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # Every object is still alive here, so the collections the interpreter
+    # runs at shutdown would only traverse them (~20 ms).  Frozen objects are
+    # skipped; atexit handlers and the flush of stdout still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

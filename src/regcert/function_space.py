@@ -129,40 +129,73 @@ def grid_derivative(u: SampledFunction) -> np.ndarray:
     return d
 
 
+def _leading(flags: np.ndarray) -> int:
+    """The number of True entries before the first False."""
+    return int(np.argmin(np.append(flags, False)))
+
+
 def _pair_quotient(dx: float, w: np.ndarray, b: float) -> float:
     """max over node pairs i < j of |w_j - w_i| / ((j - i) dx)**b, 0 <= b <= 1.
 
-    Exact on every grid: no pair is skipped or sampled.  b = 0 and b = 1
-    reduce to O(n) forms (the oscillation, and the largest adjacent
-    difference, where the maximum sits by telescoping).  For fractional b the
-    scan runs over lags k = 1, 2, ...: every pair at lag k shares the
-    denominator (k dx)**b, so one array reduction per block of lags gives
-    each lag's largest difference.  No difference exceeds the oscillation
-    max(w) - min(w), so no pair at lag k or beyond can beat the running best
-    once osc / (k dx)**b <= best, and the scan stops there without changing
-    the result.
+    Exact on every grid: the result is the maximum over all pairs, bit for
+    bit.  b = 0 and b = 1 reduce to O(n) forms (the oscillation
+    osc = max(w) - min(w), and the largest adjacent difference step / dx,
+    where the maximum sits by telescoping).
+
+    For fractional b the pairs are taken lag by lag: every pair at lag k
+    shares the denominator (k dx)**b, so one array reduction per block of
+    lags gives each lag's largest difference.  Two bounds limit that
+    difference: osc, and k * step by telescoping.  So
+    B(k) = min(osc, k step) (1 + 1e-12) / (k dx)**b bounds every quotient at
+    lag k; the margin covers the few roundings of a difference and of
+    k * step.  B rises while k step < osc and falls after, so the lags with
+    B(k) > best form one interval around its peak.  The scan seeds best with
+    the peak lag, then walks outward from it on each side, block by block,
+    and stops a side at its first lag with B(k) <= best: none beyond can
+    raise best.  Every lag scanned gives the same quotient as a scan of all
+    lags, so the maximum is the same float.
     """
     n = len(w)
     if b == 0.0:
         return float(np.max(w) - np.min(w))
+    step = float(np.max(np.abs(np.diff(w))))
     if b == 1.0:
-        return float(np.max(np.abs(np.diff(w))) / dx)
-    den = (np.arange(1, n) * dx) ** b
-    ceiling = float(np.max(w) - np.min(w)) / den
+        return step / dx
+    osc = float(np.max(w) - np.min(w))
+    k = np.arange(1, n)
+    den = (k * dx) ** b
+    bound = np.minimum(osc, k * step) * (1.0 + 1e-12) / den
+    peak = int(np.argmax(bound)) + 1
+    best = float(np.max(np.abs(w[peak:] - w[: n - peak])) / den[peak - 1])
     lags = max(1, min(n - 1, _SCAN_BLOCK // n))
-    # Row r of a block holds w shifted by lag k + r; the NaN tail stands for
+    # Row r of a block holds w shifted by lag lo + r; the NaN tail stands for
     # the pairs that run off the grid, which fmax skips.
     padded = np.concatenate((w, np.full(lags - 1, np.nan)))
     buf = np.empty((lags, n - 1))
-    best = 0.0
-    k = 1
-    while k < n and ceiling[k - 1] > best:
-        stop = min(k + lags, n)
-        diffs = buf[: stop - k, : n - k]
-        np.subtract(sliding_window_view(padded[k:], n - k)[: stop - k], w[: n - k], out=diffs)
+
+    def scan(lo: int, hi: int) -> float:
+        """The largest quotient over lags lo <= k < hi, hi - lo <= lags."""
+        diffs = buf[: hi - lo, : n - lo]
+        np.subtract(sliding_window_view(padded[lo:], n - lo)[: hi - lo], w[: n - lo], out=diffs)
         np.abs(diffs, out=diffs)
-        best = max(best, float(np.max(np.fmax.reduce(diffs, axis=1) / den[k - 1 : stop - 1])))
-        k = stop
+        return float(np.max(np.fmax.reduce(diffs, axis=1) / den[lo - 1 : hi - 1]))
+
+    # Upward from the peak, then downward; a block that reaches a lag that
+    # cannot win ends just before it.
+    lo = peak + 1
+    while lo < n and bound[lo - 1] > best:
+        hi = min(lo + lags, n)
+        if not bound[hi - 2] > best:
+            hi = lo + _leading(bound[lo - 1 : hi - 1] > best)
+        best = max(best, scan(lo, hi))
+        lo = hi
+    hi = peak
+    while hi > 1 and bound[hi - 2] > best:
+        lo = max(1, hi - lags)
+        if not bound[lo - 1] > best:
+            lo = hi - _leading(bound[lo - 1 : hi - 1][::-1] > best)
+        best = max(best, scan(lo, hi))
+        hi = lo
     return best
 
 

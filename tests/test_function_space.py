@@ -136,8 +136,9 @@ class TestHolderNorm:
         assert val == pytest.approx(5.0, rel=0.01)
 
     def test_matches_brute_force_pairs(self, rng):
-        # 1025 nodes take several lag blocks, so there the scan really stops
-        # early on the bump and runs to the last lag on the ramp.
+        # 1025 nodes take several lag blocks, so there the scan walks blocks
+        # both ways from its seed lag (x**2, sin 7x) and stops early on the
+        # bump, while on the ramp the seed lag alone decides.
         for n in (3, 4, 41, 65, 1025):
             g = Grid(n)
             x = g.nodes
@@ -148,11 +149,26 @@ class TestHolderNorm:
                 shapes = {
                     "random": rng.standard_normal(n),
                     # A ramp in the quotient's argument: the best pair is at
-                    # the largest lag, so the scan never stops early.
+                    # (or next to) the largest lag, where the bound peaks.
                     "ramp": x.copy() if a <= 1.0 else x**2,
                     # A narrow bump: the scan stops at a small lag.
                     "bump": _bump_samples(g, x[n // 2], 4.0 * g.dx),
                 }
+                # Profiles of the quotient's argument: u itself for a <= 1,
+                # and about u' (u is their integral) for a > 1.  On x**2 and
+                # sin 7x the bound peaks inside the lag range.
+                profiles = {
+                    "x2": x**2,
+                    "sin7x": np.sin(7.0 * x),
+                    "cusp": np.abs(x - 0.3) ** 0.6,
+                    "constant": np.full(n, 0.7),
+                    "jump": np.where(x < 0.4, 0.0, 1.0),
+                    # Its own generator, so the shapes above draw as before.
+                    "walk": np.cumsum(np.random.default_rng(n).standard_normal(n)),
+                }
+                for name, w in profiles.items():
+                    sf = SampledFunction(g, w)
+                    shapes[name] = w if a <= 1.0 else integrate_volterra(sf).values
                 for name, u in shapes.items():
                     sf = SampledFunction(g, u)
                     if a <= 1.0:
@@ -184,6 +200,19 @@ class TestHolderNorm:
                 coarse = holder_norm(SampledFunction(Grid(257), fn(Grid(257).nodes)), a)
                 fine = holder_norm(SampledFunction(Grid(513), fn(Grid(513).nodes)), a)
                 assert coarse <= fine + 1e-12
+
+    def test_ramp_needs_only_the_seed_lag(self, monkeypatch):
+        # The bound peaks at the last lag, whose quotient equals it up to the
+        # margin, so no block of lags is scanned.
+        from regcert import function_space
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block of lags was scanned")
+
+        monkeypatch.setattr(function_space, "sliding_window_view", no_blocks)
+        g = Grid(1025)
+        for b in (0.01, 0.5, 0.99):
+            assert _pair_quotient(g.dx, g.nodes, b) == 1.0
 
     def test_every_pair_scanned_on_large_grids(self):
         # Grid(4099) lies above the 4097 nodes an earlier scan subsampled
