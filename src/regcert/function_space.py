@@ -260,24 +260,28 @@ def read_function_csv(path) -> SampledFunction:
 
     Every consumer assumes the uniform grid, so the x column must hold the
     nodes of Grid(rows) to within 1e-12; files written by the CLI match them
-    exactly.  A row that is not two numbers, or an x off the grid,
-    raises InvalidGridError.
+    exactly.  A file that is not UTF-8 text, a row that is not two numbers,
+    or an x off the grid raises InvalidGridError.
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,value":
-            raise InvalidGridError(f"expected header 'x,value', got {header!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                x, value = map(float, line.split(","))
-            except ValueError:
-                raise InvalidGridError(
-                    f"line {lineno}: expected 'x,value', got {line.strip()!r}"
-                ) from None
-            rows.append((x, value))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidGridError(f"{path} is not UTF-8 text: {exc}") from None
+    header = lines[0].strip() if lines else ""
+    if header != "x,value":
+        raise InvalidGridError(f"expected header 'x,value', got {header!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            x, value = map(float, line.split(","))
+        except ValueError:
+            raise InvalidGridError(
+                f"line {lineno}: expected 'x,value', got {line.strip()!r}"
+            ) from None
+        rows.append((x, value))
     grid = Grid(len(rows))
     x, values = np.asarray(rows).T
     # Written so that a NaN x fails too.

@@ -29,8 +29,6 @@ from .spectral import ProblemSpec, SvdTriple, make_problem
 # genuine component outside the source set.
 NULL_COEF_TOL = 1e-14
 
-PASS_TOL = BOUND_TOL  # the earlier name, still importable
-
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -60,18 +58,27 @@ class ConstantsPack:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Worst-case error bracket for one noise level."""
+    """Worst-case error bracket for one noise level.
+
+    The fields are the columns of ``regcert certify-linear``'s CSV, in order.
+    """
 
     delta: float
-    a_used: float
+    a: float
+    p: float
+    k: float
     J1_cont: float
     J2_cont: float
-    total_cont: float
     J1_disc: float
     J2_disc: float
     rate_bound: float
     empirical_lower: float
     passed: bool
+
+    @property
+    def total_cont(self) -> float:
+        """The continuous upper chain J1 + J2; rate_bound up to round-off."""
+        return self.J1_cont + self.J2_cont
 
 
 def constants(source: SourceSpec) -> ConstantsPack:
@@ -685,10 +692,11 @@ def certify(
         certs.append(
             Certificate(
                 delta=delta,
-                a_used=a,
+                a=a,
+                p=float(p),
+                k=float(k),
                 J1_cont=float(j1_cont),
                 J2_cont=float(j2_cont),
-                total_cont=float(j1_cont + j2_cont),
                 J1_disc=float(j1_disc),
                 J2_disc=float(j2_disc),
                 rate_bound=float(rate),

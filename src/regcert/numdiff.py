@@ -40,9 +40,6 @@ from .seeding import rng_from
 # Mass of the unit bump profile (1 - t^2)^3 over [-1, 1].
 BUMP_MASS = 32.0 / 35.0
 
-# The earlier names of errors.BOUND_TOL, still importable.
-MEMBER_TOL = PASS_TOL = BOUND_TOL
-
 # One-sided stencils of ``differentiate``: step 2h (the default, covered by
 # ``error_budget`` at every node) or the paper's step h.
 BOUNDARY_STENCILS = ("sound", "paper")
@@ -82,11 +79,20 @@ class WitnessPair:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Worst-case error bracket for one noise level: the budget above, the
-    largest sampled error over admissible solutions below."""
+    """Worst-case error bracket for one noise level: the budget total above,
+    the largest sampled error over admissible solutions below.
+
+    The fields are the columns of ``regcert certify-diff``'s CSV, in order:
+    the class (a, M) and the budget's step and terms.
+    """
 
     delta: float
-    budget: DiffErrorBudget
+    a: float
+    M: float
+    h: float
+    noise_term: float
+    bias_term: float
+    total: float
     empirical_lower: float
     passed: bool
 
@@ -412,5 +418,8 @@ def certify(
                 empirical_sup_error(data, spec, samples, seed=sub_seed,
                                     candidates=pool or None, boundary=boundary),
             )
-        certs.append(Certificate(float(delta), budget, emp, bool(emp <= budget.total * BOUND_TOL)))
+        certs.append(Certificate(
+            float(delta), float(spec.a), float(spec.m_a), budget.h, budget.noise_term,
+            budget.bias_term, budget.total, emp, bool(emp <= budget.total * BOUND_TOL),
+        ))
     return certs

@@ -23,8 +23,6 @@ from .spectral import ProblemSpec, SvdTriple, make_problem, svd
 
 NONLINEARITIES = ("identity", "cubic")
 
-FEAS_TOL = BOUND_TOL  # the earlier name, still importable
-
 
 @dataclass(frozen=True)
 class NonlinearProblem:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from regcert import (
     numdiff,
     witness_pair,
 )
+from regcert import cli
 from regcert.cli import _seeded_truth_in_ball, make_truth, parse_deltas, resolve_config, run
 from regcert.errors import UsageError
 from regcert.function_space import read_function_csv
@@ -196,6 +198,15 @@ class TestExitCodes:
         assert code == 1
         assert any("line 3" in rec.message for rec in caplog.records)
 
+    def test_differentiate_non_utf8_input_exit_one(self, tmp_path, caplog):
+        path = tmp_path / "noisy.csv"
+        path.write_bytes(b"x,value\n\xff\xfe,1")
+        code = run(["differentiate", "--a", "2", "--m", "1", "--delta", "1e-3",
+                    "--input", str(path)])
+        assert code == 1
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert len(errors) == 1 and str(path) in errors[0]
+
     def test_readme_certify_diff_example(self, tmp_path):
         # The README's certify-diff example passes every row under the
         # default stencil; the paper stencil fails three of them.  The budget
@@ -238,6 +249,55 @@ class TestExitCodes:
             "0.0001,1.5,1.0,0.00390625,0.0256,0.0625,0.0881,0.024925380332606707,true\n"
             "9.999999999999999e-06,1.5,1.0,0.0009765625,0.010239999999999999,0.03125,"
             "0.04149,0.010069673949438099,true\n"
+        )
+
+    def test_certify_linear_bytes(self, capsys):
+        # TestThinAdapter's volterra argv, a rotated-diagonal argv whose two
+        # blocks of searches run in two workers, and a diagonal argv with
+        # p and k away from their usual values, on stdout byte for byte.
+        assert run(["certify-linear", "--problem", "volterra", "--n", "32", "--p", "0.5",
+                    "--k", "1", "--deltas", "1e-2,1e-3", "--trials", "4", "--seed", "9"]) == 0
+        assert capsys.readouterr().out == (
+            "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
+            "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.04976471048163167,"
+            "0.049764710481631655,0.1,0.07815428417307027,true\n"
+            "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
+            "0.015809865444111972,0.015809865444111972,0.03162277660168379,"
+            "0.024033685472935096,true\n"
+        )
+        assert run(["certify-linear", "--problem", "rotated-diagonal", "--n", "256",
+                    "--p", "0.5", "--k", "1", "--deltas", "1e-4:1e-1:log4", "--trials", "5",
+                    "--threads", "2", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
+            "0.0001,9.999999999999998e-05,0.5,1.0,0.005000000000000001,0.005,"
+            "0.005000000000000001,0.004999999999999999,0.01,0.008005231924626674,true\n"
+            "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
+            "0.015810276679841896,0.015810276679841893,0.03162277660168379,"
+            "0.025199761523310518,true\n"
+            "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.05,"
+            "0.04999999999999999,0.1,0.08383221038619794,true\n"
+            "0.1,0.09999999999999998,0.5,1.0,0.158113883008419,0.15811388300841897,"
+            "0.15789473684210528,0.15789473684210525,0.31622776601683794,"
+            "0.25158574226707314,true\n"
+        )
+        assert run(["certify-linear", "--problem", "diagonal", "--n", "40", "--q", "1.5",
+                    "--p", "0.25", "--k", "2", "--deltas", "1e-4:1e-1:log4", "--trials", "3",
+                    "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
+            "0.0001,3.898690317617157e-06,0.25,2.0,0.02532273642408658,0.05064547284817318,"
+            "0.0202464135156028,0.02510971777159043,0.07596820927225977,"
+            "0.027196727710981083,true\n"
+            "0.001,8.399473665965825e-05,0.25,2.0,0.05455618179858606,0.10911236359717218,"
+            "0.054552962944511875,0.10911197659785024,0.16366854539575826,"
+            "0.10670470603200681,true\n"
+            "0.01,0.001809611744396605,0.25,2.0,0.11753773062255986,0.23507546124511983,"
+            "0.11745220786432198,0.23503783580503781,0.35261319186767964,"
+            "0.29798967112518354,true\n"
+            "0.1,0.03898690317617155,0.25,2.0,0.25322736424086584,0.5064547284817318,"
+            "0.25314406118671345,0.5047966104459581,0.7596820927225976,"
+            "0.6924615851926996,true\n"
         )
 
     @pytest.mark.parametrize("sub,radius", [("varmin", ["--delta", "1e-3"]),
@@ -390,6 +450,21 @@ class TestDeterminism:
         assert lines[1].split(",")[3] == "true"
 
 
+# Layout that only the certificate dataclasses may define: the certify-*
+# headers and certificate-only field names.  A new column then needs no edit
+# to cli.py.
+_CERTIFICATE_LAYOUT = (
+    "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass",
+    "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass",
+    "empirical_lower", "J1_", "noise_term", "a_used", "budget.",
+)
+
+
+def test_cli_holds_no_certificate_layout():
+    source = Path(cli.__file__).read_text()
+    assert [text for text in _CERTIFICATE_LAYOUT if text in source] == []
+
+
 class TestThinAdapter:
     def test_certify_linear_rows_equal_module_output(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -404,7 +479,7 @@ class TestThinAdapter:
                           "rate_bound", "empirical_lower", "pass"]
         assert len(rows) == len(certs)
         for row, c in zip(rows, certs):
-            _assert_cells(row, [c.delta, c.a_used, 0.5, 1.0, c.J1_cont, c.J2_cont, c.J1_disc,
+            _assert_cells(row, [c.delta, c.a, 0.5, 1.0, c.J1_cont, c.J2_cont, c.J1_disc,
                                 c.J2_disc, c.rate_bound, c.empirical_lower, c.passed])
 
     def test_witness_rows_equal_module_output(self, tmp_path):
@@ -474,8 +549,7 @@ class TestThinAdapter:
                           "empirical_lower", "pass"]
         assert len(rows) == len(certs)
         for row, c in zip(rows, certs):
-            b = c.budget
-            _assert_cells(row, [c.delta, 2.0, 1.0, b.h, b.noise_term, b.bias_term, b.total,
+            _assert_cells(row, [c.delta, 2.0, 1.0, c.h, c.noise_term, c.bias_term, c.total,
                                 c.empirical_lower, c.passed])
         assert [c.passed for c in certs] == ([True, True] if boundary == "sound"
                                              else [True, False])

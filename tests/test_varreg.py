@@ -8,12 +8,11 @@ from regcert import (
     make_nonlinear_problem,
     minimize,
 )
-from regcert.errors import InfeasibleError, InvalidMatrixError, InvalidParameterError
+from regcert.errors import BOUND_TOL, InfeasibleError, InvalidMatrixError, InvalidParameterError
 from regcert.seeding import rng_from
 from regcert import varreg
 from regcert.cli import _seeded_truth_in_ball, run
 from regcert.varreg import (
-    FEAS_TOL,
     NonlinearProblem,
     _descend,
     _gradient,
@@ -294,7 +293,7 @@ class TestMinimize:
         feasible = (v1**2 + v2**2 <= 1.0) & (resid <= delta)
         grid_min = float(values[feasible].min())
         assert report.F_value == pytest.approx(grid_min, rel=0.01)
-        assert np.linalg.norm(prob.forward(report.v_delta) - f) <= delta * FEAS_TOL
+        assert np.linalg.norm(prob.forward(report.v_delta) - f) <= delta * BOUND_TOL
 
     def test_truth_witness_bound(self):
         # With data generated at radius delta from a feasible truth,
