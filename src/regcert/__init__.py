@@ -42,9 +42,9 @@ _HOME = {
          "membership", "member_candidates", "empirical_sup_error", "witness_pair"),
         "numdiff",
     ),
-    **dict.fromkeys(("SvdTriple", "ProblemSpec", "svd", "make_problem"), "spectral"),
+    **dict.fromkeys(("SvdTriple", "ProblemSpec", "svd", "make_problem", "apply"), "spectral"),
     **dict.fromkeys(
-        ("SourceSpec", "ConstantsPack", "Certificate", "constants", "choose_a", "apply",
+        ("SourceSpec", "ConstantsPack", "Certificate", "constants", "choose_a",
          "operator_norm", "source_membership", "sample_source_set", "bias_sup",
          "worst_case_search", "certify"),
         "linreg",

@@ -1,11 +1,12 @@
 """A-priori regularization of linear ill-posed systems with worst-case certificates.
 
-The regularizer is the spectral filter (T + aI)^{-1} A^T with T = A^T A, the
-smoothness class is the source set {y : sum s_i^{-2p} <y, v_i>^2 <= k_p^2},
-and the parameter rule a(delta) = b_p delta^{2/(2p+1)} minimizes the closed
-form noise + bias bound.  A certificate brackets the worst-case error: an
-analytic upper chain J1 + J2 <= C_p delta^{2p/(2p+1)} on one side, and a
-searched lower estimate over the admissible set on the other.
+The regularizer is the spectral filter (T + aI)^{-1} A^T with T = A^T A
+(``spectral.apply``), the smoothness class is the source set
+{y : sum s_i^{-2p} <y, v_i>^2 <= k_p^2}, and the parameter rule
+a(delta) = b_p delta^{2/(2p+1)} minimizes the closed form noise + bias bound.
+A certificate brackets the worst-case error: an analytic upper chain
+J1 + J2 <= C_p delta^{2p/(2p+1)} on one side, and a searched lower estimate
+over the admissible set on the other.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import BOUND_TOL, DegenerateProblemError, InfeasibleError, InvalidS
 # count as _count: sample_source_set has a parameter named count.
 from .errors import count as _count, positive_finite, vector, within
 from .seeding import rng_from
-from .spectral import ProblemSpec, SvdTriple, make_problem
+from .spectral import ProblemSpec, SvdTriple, _filter, _norms, make_problem
 
 # Coefficients on exact null-space modes larger than this are treated as a
 # genuine component outside the source set.
@@ -94,21 +95,6 @@ def choose_a(delta: float, source: SourceSpec) -> float:
     positive_finite(delta, "noise radius")
     pack = constants(source)
     return float(pack.b_p * delta ** (2.0 / (2.0 * source.p + 1.0)))
-
-
-def _filter(svd: SvdTriple, a: float) -> np.ndarray:
-    return svd.sigma / (svd.s + a)
-
-
-def apply(svd: SvdTriple, f_delta: np.ndarray, a: float) -> np.ndarray:
-    """Regularized solution V diag(sigma_i/(s_i + a)) U^T f_delta.
-
-    This is the exact finite-dimensional (T + aI)^{-1} A^T; the output has no
-    component on null-space modes, so it converges to the normal solution.
-    """
-    positive_finite(a, "regularization parameter")
-    f_delta = vector(f_delta, svd.n, "data vector")
-    return svd.v @ (_filter(svd, a) * (svd.u.T @ f_delta))
 
 
 def operator_norm(svd: SvdTriple, a: float) -> float:
@@ -311,21 +297,6 @@ def _feasible(z, c, k_sq, sigma, g, delta_sq, slack=1e-9) -> np.ndarray:
         ((c * z * z).sum(axis=1) <= k_sq * (1.0 + slack))
         & ((r * r).sum(axis=1) <= delta_sq * (1.0 + slack) + 1e-300)
     )
-
-
-def _sqnorms(x: np.ndarray) -> np.ndarray:
-    """x @ x along the last axis, for a vector or a stack of shape (..., n).
-
-    The stacked matmul gives every row the bits of the 1-D dot product (and
-    so of np.linalg.norm squared); einsum and (x * x).sum do not.  [()]
-    turns the 0-d result for a single vector into a scalar.
-    """
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Norms along the last axis, with the bits of np.linalg.norm per row."""
-    return np.sqrt(_sqnorms(x))
 
 
 def _objective(z: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -3,6 +3,10 @@
 The singular triple (U, sigma, V) of a square matrix A carries everything
 the spectral calculus needs: T = A^T A has eigenvalues s_i = sigma_i^2 with
 eigenvectors the columns of V, and functions of T act diagonally there.
+This module also holds what linreg and varreg share: ``apply``, the filter
+(T + aI)^{-1} A^T = V diag(sigma/(s + a)) U^T on a triple (linreg's
+regularizer, varreg's linearized start), and the row norms ``_norms`` and
+``_sqnorms``, which give each row of a stack the bits of np.linalg.norm.
 
 No gallery kind runs a dense SVD.  The diagonal kinds are built from their
 own SVD, A = Q1 diag(d) Q2^T, so they carry the triple by construction; the
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrixError, choice, count, positive_finite, within
+from .errors import InvalidMatrixError, choice, count, positive_finite, vector, within
 from .seeding import rng_from
 
 MAX_DENSE_N = 1024
@@ -99,6 +103,36 @@ def _flush_null_modes(sig: np.ndarray) -> np.ndarray:
     if sig.size and sig[0] > 0.0:
         sig = np.where(sig < ZERO_SV_RTOL * sig[0], 0.0, sig)
     return sig
+
+
+def _filter(svd: SvdTriple, a: float) -> np.ndarray:
+    return svd.sigma / (svd.s + a)
+
+
+def apply(svd: SvdTriple, f_delta: np.ndarray, a: float) -> np.ndarray:
+    """Regularized solution V diag(sigma_i/(s_i + a)) U^T f_delta.
+
+    This is the exact finite-dimensional (T + aI)^{-1} A^T; the output has no
+    component on null-space modes, so it converges to the normal solution.
+    """
+    positive_finite(a, "regularization parameter")
+    f_delta = vector(f_delta, svd.n, "data vector")
+    return svd.v @ (_filter(svd, a) * (svd.u.T @ f_delta))
+
+
+def _sqnorms(x: np.ndarray) -> np.ndarray:
+    """x @ x along the last axis, for a vector or a stack of shape (..., n).
+
+    The stacked matmul gives every row the bits of the 1-D dot product (and
+    so of np.linalg.norm squared); einsum and (x * x).sum do not.  [()]
+    turns the 0-d result for a single vector into a scalar.
+    """
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, with the bits of np.linalg.norm per row."""
+    return np.sqrt(_sqnorms(x))
 
 
 def volterra_matrix(n: int) -> np.ndarray:

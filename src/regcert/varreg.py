@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import BOUND_TOL, InfeasibleError, InvalidMatrixError, InvalidParameterError
 from .errors import choice, count, positive_finite, vector
-from .linreg import _norms as _norm, _sqnorms, apply
 from .seeding import rng_from
-from .spectral import ProblemSpec, SvdTriple, make_problem, svd
+from .spectral import ProblemSpec, SvdTriple, apply, make_problem, svd
+from .spectral import _norms as _norm, _sqnorms
 
 NONLINEARITIES = ("identity", "cubic")
 
@@ -75,7 +75,11 @@ class StudyRow:
 def _sigma(v: np.ndarray, kind: str) -> np.ndarray:
     if kind == "identity":
         return v
-    return v + v**3 / 3.0
+    # Two IEEE multiplies, not v**3: numpy's float64 pow kernel disagrees
+    # with libm's pow on about 5% of positive bases, so its bits depend on the
+    # kernel numpy dispatches to, and it costs ~6-8 ns per element on a
+    # positive base and ~120-150 ns on a negative one, against ~1 ns here.
+    return v + v * v * v / 3.0
 
 
 def _sigma_inverse(x: np.ndarray, kind: str) -> np.ndarray:

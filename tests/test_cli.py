@@ -340,11 +340,11 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,F_value,m_hat_bound_c1delta,error_to_truth,feasible\n"
             "0.1,0.07885818650289121,0.2,0.2562682302897976,true\n"
-            "0.01,0.010424442674395596,0.02,0.022727928131437224,true\n"
+            "0.01,0.010424442674395573,0.02,0.022727928131437224,true\n"
             "0.001,0.001000998254208727,0.002,0.0021275164150334923,true\n"
             "0.0001,9.995688058739658e-05,0.0002,0.00022682693992555139,true\n"
-            "9.999999999999999e-06,9.999833818366693e-06,1.9999999999999998e-05,"
-            "2.0824926144568076e-05,true\n"
+            "9.999999999999999e-06,9.99983381836927e-06,1.9999999999999998e-05,"
+            "2.0824926144628408e-05,true\n"
         )
 
 

@@ -25,7 +25,7 @@ from regcert.errors import (
     InvalidParameterError,
     InvalidSourceError,
 )
-from regcert import linreg
+from regcert import linreg, spectral
 from regcert.cli import run
 from regcert.seeding import rng_from
 from regcert.spectral import volterra_matrix
@@ -419,7 +419,7 @@ class TestShrinkRoot:
 def test_row_norms_match_the_one_row_norm(rng):
     for n in (1, 2, 7, 64, 255, 1024):
         d = rng.standard_normal((20, n)) * 10.0 ** rng.uniform(-8, 8, (20, 1))
-        assert linreg._norms(d).tolist() == [float(np.linalg.norm(row)) for row in d]
+        assert spectral._norms(d).tolist() == [float(np.linalg.norm(row)) for row in d]
         assert (d * d).sum(axis=1).tolist() == [float((row * row).sum()) for row in d]
 
 

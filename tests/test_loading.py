@@ -46,9 +46,20 @@ def test_differentiation_runs_load_no_linear_module(argv):
 
 
 def test_study_loads_no_differentiation_module():
-    loaded = _cli_imports(["study", "--n", "3", "--deltas", "1e-2", "--budget", "5"])
-    assert "regcert.varreg" in loaded
-    assert "regcert.numdiff" not in loaded
+    # varreg takes the filter and the row norms from spectral, so neither
+    # nonlinear subcommand loads the linear certificates either.
+    for argv in (["study", "--n", "3", "--deltas", "1e-2", "--budget", "5"],
+                 ["varmin", "--n", "3", "--delta", "1e-2", "--budget", "5"]):
+        loaded = _cli_imports(argv)
+        assert "regcert.varreg" in loaded
+        assert not loaded & {"regcert.numdiff", "regcert.linreg"}
+
+
+def test_certify_linear_loads_linreg_and_spectral():
+    loaded = _cli_imports(["certify-linear", "--problem", "diagonal", "--n", "4",
+                           "--p", "0.5", "--k", "1", "--trials", "1", "--deltas", "1e-2"])
+    assert {"regcert.linreg", "regcert.spectral"} <= loaded
+    assert not loaded & {"regcert.numdiff", "regcert.varreg"}
 
 
 def test_package_import_loads_numpy_and_no_submodule():
