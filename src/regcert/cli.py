@@ -135,7 +135,9 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("models", _parse_models, default="alternating,spike,smooth,seeded-uniform",
             help="comma list of noise models"),
         Opt("truth", str, default="quadratic", help=f"synthetic truth, one of {TRUTHS}"),
-        Opt("samples", _int, default=16, help="candidates per admissible-set sampling"),
+        Opt("samples", _int, default=16,
+            help="bump candidates of the generated pool, shared among its bases, which "
+                 "certify-diff uses only when the truth fails the admissibility gate"),
         _BOUNDARY,
         *_COMMON,
     ],

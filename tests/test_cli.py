@@ -230,7 +230,7 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass\n"
             "0.01,2.0,1.0,0.10009765625,0.09990243902439025,0.10009765625,"
-            "0.20000009527439025,0.12359208280702313,true\n"
+            "0.20000009527439025,0.12359208279606418,true\n"
             "0.001,2.0,1.0,0.03173828125,0.031507692307692306,0.03173828125,"
             "0.0632459735576923,0.036735582317186544,true\n"
             "0.0001,2.0,1.0,0.010009765625,0.009990243902439026,0.010009765625,"

@@ -27,7 +27,9 @@ from regcert.errors import (
     StepTooLargeError,
     UnsupportedExponentError,
 )
+from regcert import cli
 from regcert.numdiff import certify
+from regcert.seeding import rng_from
 from conftest import scaled_truth
 
 
@@ -270,6 +272,20 @@ class TestMembership:
         assert membership(wp.v_minus, data, spec).ok
 
 
+@pytest.mark.parametrize("n", [1025, 4097])
+def test_bump_samples_ieee_product(n):
+    # (1 - t^2)^3 as two IEEE multiplies, byte for byte against Python floats.
+    g = Grid(n)
+    center, width = 0.5, 0.1
+    expected = []
+    for x in g.nodes.tolist():
+        t = (x - center) / width
+        b = 1.0 - t * t
+        expected.append(b * b * b if abs(t) < 1.0 else 0.0)
+    got = numdiff._bump_samples(g, center, width)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
 class TestWitnessPair:
     def test_construction_contracts(self):
         g = Grid(2049)
@@ -447,8 +463,8 @@ class TestCertify:
         assert certify(u, spec, deltas, ["spike", "smooth"], 3, seed=4) == certs
 
     def test_one_membership_call_per_candidate(self, monkeypatch):
-        # Per (delta, model): one call for the truth's slack, then the gate
-        # once for the truth and once per bump.
+        # Per (delta, model): one call to check the truth, then the gate once
+        # on the one-candidate pool; no bumps are built around the truth.
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
         u = scaled_truth(g, spec, g.nodes**2)
@@ -462,7 +478,51 @@ class TestCertify:
         monkeypatch.setattr(numdiff, "membership", counting)
         samples, deltas, models = 5, [1e-3, 1e-4], ["spike", "smooth"]
         certify(u, spec, deltas, models, samples, seed=2)
-        assert len(calls) <= (2 + samples) * len(deltas) * len(models)
+        assert len(calls) == 2 * len(deltas) * len(models)
+        assert all(v is u for v in calls)
+
+    def test_inadmissible_truth_falls_back_to_generated_pool(self):
+        # A truth outside the class ball fails the gate, so each cell's lower
+        # bound is empirical_sup_error's generated pool at the cell's sub-seed.
+        g = Grid(257)
+        spec = HolderSpec(1.5, 1.0)
+        u = scaled_truth(g, HolderSpec(1.5, 1.05), np.sin(2 * np.pi * g.nodes))
+        deltas, models, samples = [1e-2], ["spike", "smooth"], 4
+        f = integrate_volterra(u)
+        certs = certify(u, spec, deltas, models, samples, seed=3)
+        for di, (delta, cert) in enumerate(zip(deltas, certs)):
+            expected = []
+            for mi, model in enumerate(models):
+                data = add_noise(f, delta, model, 3)
+                assert not membership(u, data, spec).ok
+                sub_seed = int(rng_from(3, di, mi).integers(0, 2**63))
+                expected.append(empirical_sup_error(data, spec, samples, seed=sub_seed))
+            assert cert.empirical_lower == max(expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4097", "--a", "2", "--m", "1", "--deltas", "1e-2:1e-5:log4",
+         "--truth", "quadratic"],
+        ["--n", "1025", "--a", "1.5", "--m", "1", "--deltas", "1e-2:1e-5:log4",
+         "--samples", "4", "--truth", "quadratic", "--seed", "1"],
+    ], ids=["readme", "diff-sweep-a15"])
+    def test_cli_lower_bound_is_truth_distance(self, argv, tmp_path):
+        # certify-diff's empirical_lower is the regularizer's sup distance to
+        # the truth, maximized over the noise models, bit for bit.
+        out = tmp_path / "certs.csv"
+        assert cli.run(["certify-diff", *argv, "--out", str(out)]) == 0
+        cfg = cli.resolve_config(["certify-diff", *argv])
+        p, seed = cfg.params, cfg.seed
+        spec = HolderSpec(p["a"], p["m"])
+        truth = cli.make_truth(p["truth"], Grid(p["n"]), spec, seed)
+        f = integrate_volterra(truth)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(p["deltas"])
+        for delta, row in zip(p["deltas"], rows):
+            expected = max(
+                sup_distance(differentiate(add_noise(f, delta, model, seed), spec), truth)
+                for model in p["models"]
+            )
+            assert float(row[7]) == expected
 
     def test_lower_bound_is_max_over_models(self):
         g = Grid(513)
