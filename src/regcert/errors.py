@@ -4,8 +4,8 @@ one tolerance factor of its bound checks.
 Each input rule has one definition: ``positive_finite`` (0 < x < inf),
 ``within`` (an interval), ``count`` (an integer >= 1; a sequence is
 non-empty when ``count(len(seq))`` passes), ``choice`` (one of a tuple) and
-``vector`` (shape (n,)).  A check takes the value, the parameter's name and
-the error class to raise, and returns the value.
+``vector`` (shape (n,), every entry finite).  A check takes the value, the
+parameter's name and the error class to raise, and returns the value.
 """
 
 import numpy as np
@@ -108,8 +108,11 @@ def choice(value, options: tuple, name: str, error=InvalidParameterError):
 
 
 def vector(value, n: int, name: str, error=InvalidParameterError) -> np.ndarray:
-    """Return value as a float array; raise ``error`` unless its shape is (n,)."""
+    """Return value as a float array; raise ``error`` unless its shape is (n,)
+    and every entry is finite."""
     value = np.asarray(value, dtype=float)
     if value.shape != (n,):
         raise error(f"{name} has shape {value.shape}, expected ({n},)")
+    if not np.isfinite(value).all():
+        raise error(f"{name} must have finite entries")
     return value

@@ -12,8 +12,6 @@ over the admissible set on the other.
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -264,12 +262,12 @@ def _project_data(z: np.ndarray, sigma: np.ndarray, s: np.ndarray, g: np.ndarray
     return _put(z, rows, (z[rows] + nu * sigma * g[rows]) / (1.0 + nu * s))
 
 
-def _project_intersection(z0, c, k_sq, sigma, s, g, delta_sq, sweeps=10, tol=1e-11):
+def _project_intersection(z0, c, k_sq, sigma, s, g, delta_sq, sweeps, tol):
     """Dykstra alternating projections onto the two ellipsoids, per row.
 
     The projected rows are written into z0, which is returned.
     """
-    live = np.flatnonzero(~_feasible(z0, c, k_sq, sigma, g, delta_sq, slack=0.0))
+    live = np.flatnonzero(~_feasible(z0, c, k_sq, sigma, g, delta_sq, tol=1.0))
     z, g, delta_sq = z0[live], g[live], delta_sq[live]
     p = np.zeros_like(z)
     q = np.zeros_like(z)
@@ -291,11 +289,11 @@ def _project_intersection(z0, c, k_sq, sigma, s, g, delta_sq, sweeps=10, tol=1e-
     return z0
 
 
-def _feasible(z, c, k_sq, sigma, g, delta_sq, slack=1e-9) -> np.ndarray:
+def _feasible(z, c, k_sq, sigma, g, delta_sq, tol=BOUND_TOL) -> np.ndarray:
     r = sigma * z - g
     return (
-        ((c * z * z).sum(axis=1) <= k_sq * (1.0 + slack))
-        & ((r * r).sum(axis=1) <= delta_sq * (1.0 + slack) + 1e-300)
+        ((c * z * z).sum(axis=1) <= k_sq * tol)
+        & ((r * r).sum(axis=1) <= delta_sq * tol + 1e-300)
     )
 
 
@@ -502,16 +500,14 @@ def worst_case_search(
 
 # certify's workers.  A block's ascent is a Python loop over numpy calls on
 # ~2^14-element arrays, so threads serialize on the interpreter lock; worker
-# processes do not.  They are forked, not spawned, so they start without a
-# fresh import and without being sent the searches.  The package loads
-# OpenBLAS with one thread (see __init__.py), so by default no process has
-# a BLAS pool.  The order below guards callers who raise the BLAS thread
-# count: the parent makes every BLAS call first and forks after.  An idle
-# pool keeps spinning after a threaded call (a 0.5 s sleep after one gemv
-# with a 1024 x 1024 matrix burns 0.12 s of CPU on 2 cores), a fork shuts
-# the parent's pool down, and a child that made a threaded call would spin
-# up one of its own.  The children run only _ascend, whose products are
-# single-threaded dots.
+# processes do not.  The workers are forked, so they start without a fresh
+# import and inherit the searches; only their values are sent back.  The
+# package loads OpenBLAS with one thread (see __init__.py), so by default no
+# process has a BLAS pool.  For callers who raise the BLAS thread count, the
+# parent makes every BLAS call before the first fork: an idle pool spins
+# after a threaded call, and a fork shuts the parent's pool down.  The
+# workers run only _ascend, whose products are single-threaded dots, so no
+# worker starts a pool of its own.
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
@@ -520,62 +516,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _child(fn, part, read: int, write: int) -> None:
-    """In a forked child: pipe back (True, fn(part)) or (False, exception), exit."""
-    try:
-        os.close(read)
-        try:
-            out = (True, fn(part))
-        except BaseException as exc:  # the parent re-raises it
-            out = (False, exc)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(out))
-    finally:
-        os._exit(0)
+def _install(fn, parts: list) -> None:
+    """In a forked worker: keep the inherited fn and parts for _run_part."""
+    global _work
+    _work = fn, parts
+
+
+def _run_part(i: int):
+    """In a worker: fn(parts[i])."""
+    fn, parts = _work
+    return fn(parts[i])
 
 
 def _map_forked(fn, parts: list) -> list:
-    """[fn(part) for part in parts]: parts[0] here, each other in a forked child.
+    """[fn(part) for part in parts]: parts[0] here, each other in a forked worker.
 
-    The parent reads every child's pipe to its end and reaps every child on
-    every path, killing them first when it raises; then it re-raises the
-    first child exception, in part order, with its own type.
+    A worker's exception is re-raised with its own type, the first in part
+    order; a worker that dies raises BrokenProcessPool, a RuntimeError.
+    Every worker is joined on every path: when this process raises, after
+    the running workers finish their parts.
     """
-    children = []  # (pid, read end of its pipe)
-    finished = False
-    try:
-        for part in parts[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(fn, part, read, write)
-            os.close(write)
-            children.append((pid, read))
-        results = [fn(parts[0])]
-        sent = []
-        for _, read in children:
-            with os.fdopen(read, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
-        finished = True
-    finally:
-        for pid, read in children:
-            os.close(read)
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for (pid, _), data in zip(children, sent):
-        if not data:
-            raise RuntimeError(f"search worker {pid} exited without a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(len(parts) - 1, multiprocessing.get_context("fork"),
+                             _install, (fn, parts)) as pool:
+        futures = [pool.submit(_run_part, i) for i in range(1, len(parts))]
+        return [fn(parts[0])] + [f.result() for f in futures]
 
 
 def certify(
@@ -600,7 +567,7 @@ def certify(
     blocks of whole searches, every restart of a block as one row of its
     arrays.  With `threads` > 1 the blocks are split into at most
     min(threads, blocks, usable CPUs) contiguous shares: this process runs
-    the first and a forked child process runs each other one (threads,
+    the first and a forked worker process runs each other one (threads,
     where os.fork is missing).  Results are identical for any thread count
     and block size: every task is seeded independently, every row runs on
     its own, and values are reduced in index order.
@@ -634,7 +601,7 @@ def certify(
         return [v for block in share for v in _ascend(tri, source, block, 30)]
 
     # Every BLAS call (make_problem, and the gemvs of one_trial and _prepare)
-    # runs before any worker starts; see _map_forked.
+    # runs before any worker starts; see the comment above _usable_cpus.
     items = [one_trial(di, ti) for di in range(len(deltas)) for ti in range(trials)]
     searches = [x for x in items if isinstance(x, _Search)]
     per_block = max(1, _SEARCH_BLOCK // (restarts * tri.n))

@@ -276,14 +276,14 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
 # Sampled lower estimate of the worst-case error
 
 
-def _box_smooth(values: np.ndarray, half_width: int, passes: int = 3) -> np.ndarray:
+def _box_smooth(values: np.ndarray, half_width: int) -> np.ndarray:
     """Repeated moving average; three passes give a C2-like discrete kernel."""
     out = values.copy()
     if half_width <= 0:
         return out
     window = 2 * half_width + 1
     kernel = np.full(window, 1.0 / window)
-    for _ in range(passes):
+    for _ in range(3):
         out = np.convolve(np.pad(out, half_width, mode="edge"), kernel, mode="valid")
     return out
 

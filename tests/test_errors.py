@@ -61,6 +61,14 @@ def test_wrong_vector_shape_raises_parameter_error(name, shape):
         _CALLS[name](np.full(shape, 0.1))
 
 
+@pytest.mark.parametrize("x", [np.full(N, np.nan), np.array([0.1, np.inf, 0.1])],
+                         ids=["all-nan", "one-inf"])
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_non_finite_vector_raises_parameter_error(name, x):
+    with pytest.raises(InvalidParameterError, match="must have finite entries"):
+        _CALLS[name](x)
+
+
 _GRID = Grid(33)
 _ZERO = SampledFunction(_GRID, np.zeros(_GRID.n))
 _SPEC = HolderSpec(1.5, 1.0)
@@ -154,7 +162,7 @@ def test_diff_certify_checks_every_delta_before_any_membership(monkeypatch):
 
 # Each shared rule's message, which only its check in errors.py may write.
 _RULE_PHRASES = ("must lie in", "must be positive and finite", "must be an integer >= 1",
-                 "non-empty")
+                 "non-empty", "must have finite entries")
 
 
 def test_each_rule_is_written_only_in_errors_py():

@@ -603,6 +603,22 @@ class TestCertify:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_dead_worker_raises_runtime_error_and_is_reaped(self, fan_out, monkeypatch):
+        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 4)
+        parent, ascend = os.getpid(), linreg._ascend
+
+        def dying_ascend(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return ascend(*args)
+
+        monkeypatch.setattr(linreg, "_ascend", dying_ascend)
+        with pytest.raises(RuntimeError):
+            certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
+        assert len(fan_out) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_workers_capped_at_usable_cpus(self, fan_out):
         certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=10**6)
         assert len(fan_out) == min(12, linreg._usable_cpus()) - 1
