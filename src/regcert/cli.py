@@ -297,8 +297,7 @@ def _run_differentiate(cfg: RunConfig) -> int:
     p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     if p.get("input"):
-        f_delta = read_function_csv(p["input"])
-        data = NoisyData(f_delta, p["delta"], p["model"], cfg.seed)
+        data = NoisyData(read_function_csv(p["input"]), p["delta"])
     else:
         grid = Grid(p["n"])
         truth = make_truth(p["truth"], grid, spec, cfg.seed)

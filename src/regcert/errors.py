@@ -1,11 +1,12 @@
-"""Exception types shared across the toolkit, its five input checks, and the
+"""Exception types shared across the toolkit, its six input checks, and the
 one tolerance factor of its bound checks.
 
 Each input rule has one definition: ``positive_finite`` (0 < x < inf),
 ``within`` (an interval), ``count`` (an integer >= 1; a sequence is
-non-empty when ``count(len(seq))`` passes), ``choice`` (one of a tuple) and
-``vector`` (shape (n,), every entry finite).  A check takes the value, the
-parameter's name and the error class to raise, and returns the value.
+non-empty when ``count(len(seq))`` passes), ``choice`` (one of a tuple),
+``vector`` (shape (n,), every entry finite) and its stack form ``vectors``
+(shape (..., n)).  A check takes the value, the parameter's name and the
+error class to raise, and returns the value.
 """
 
 import numpy as np
@@ -113,6 +114,15 @@ def vector(value, n: int, name: str, error=InvalidParameterError) -> np.ndarray:
     value = np.asarray(value, dtype=float)
     if value.shape != (n,):
         raise error(f"{name} has shape {value.shape}, expected ({n},)")
+    return vectors(value, n, name, error)
+
+
+def vectors(value, n: int, name: str, error=InvalidParameterError) -> np.ndarray:
+    """Return value as a float array; raise ``error`` unless its shape is
+    (..., n), one vector or a stack of them, and every entry is finite."""
+    value = np.asarray(value, dtype=float)
+    if value.shape[-1:] != (n,):
+        raise error(f"{name} has shape {value.shape}, expected (..., {n})")
     if not np.isfinite(value).all():
         raise error(f"{name} must have finite entries")
     return value

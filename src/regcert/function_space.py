@@ -84,7 +84,7 @@ class HolderSpec:
 
 @dataclass(frozen=True)
 class NoisyData:
-    """Noisy samples f_delta with sup-norm noise radius delta.
+    """The data {f_delta, delta}: noisy samples and their sup-norm noise radius.
 
     delta = 0 is allowed as the degenerate exact-data case; operations that
     need strictly positive noise check that themselves.
@@ -92,12 +92,9 @@ class NoisyData:
 
     f_delta: SampledFunction
     delta: float
-    model: str
-    seed: int = 0
 
     def __post_init__(self):
-        choice(self.model, NOISE_MODELS, "noise model", InvalidModelError)
-        within(self.delta, 0, np.inf, "noise radius", InvalidModelError, "[)")
+        within(self.delta, 0, np.inf, "noise radius", ends="[)")
 
 
 def integrate_volterra(u: SampledFunction) -> SampledFunction:
@@ -230,10 +227,11 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
       seeded-uniform  i.i.d. uniform in [-delta, delta], rescaled so the
                       largest deviation equals delta
     """
+    choice(model, NOISE_MODELS, "noise model", InvalidModelError)
     # Before the noise is built, where a NaN radius would fail as InvalidGridError.
-    within(delta, 0, np.inf, "noise radius", InvalidModelError, "[)")
+    within(delta, 0, np.inf, "noise radius", ends="[)")
     if delta == 0.0:
-        return NoisyData(SampledFunction(f.grid, f.values), 0.0, model, seed)
+        return NoisyData(SampledFunction(f.grid, f.values), 0.0)
     n = f.grid.n
     if model == "exact-shift":
         e = np.full(n, delta)
@@ -244,14 +242,14 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
         e[int(rng_from(seed).integers(0, n))] = delta
     elif model == "smooth":
         e = delta * np.cos(2.0 * np.pi * f.grid.nodes)
-    else:  # seeded-uniform, or a tag NoisyData refuses
+    else:  # seeded-uniform
         e = rng_from(seed).uniform(-delta, delta, size=n)
         peak = np.max(np.abs(e))
         if peak == 0.0:
             e[0] = delta
         else:
             e *= delta / peak
-    return NoisyData(SampledFunction(f.grid, f.values + e), float(delta), model, seed)
+    return NoisyData(SampledFunction(f.grid, f.values + e), float(delta))
 
 
 def read_function_csv(path) -> SampledFunction:

@@ -408,8 +408,6 @@ def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search],
     the scale) is redirected along a standard normal draw from its search's
     generator; the rows that need one within a step draw in row order.
     """
-    if not searches:
-        return []
     pos = svd.sigma > 0.0
     sigma, s = svd.sigma[pos], svd.s[pos]
     c = s ** (-2.0 * source.p)

@@ -253,8 +253,7 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
     psi = amplitude * profile.values
     v_plus = SampledFunction(grid, psi)
     v_minus = SampledFunction(grid, -psi)
-    f_shared = integrate_volterra(SampledFunction(grid, np.zeros(grid.n)))
-    data = NoisyData(f_shared, delta, "exact-shift", 0)
+    data = NoisyData(SampledFunction(grid, np.zeros(grid.n)), delta)
     for v in (v_plus, v_minus):
         got = membership(v, data, spec)
         if not got.ok:
@@ -265,7 +264,7 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
     return WitnessPair(
         v_plus=v_plus,
         v_minus=v_minus,
-        f_delta=f_shared,
+        f_delta=data.f_delta,
         separation=sup_distance(v_plus, v_minus),
         bump_width=float(w),
         bump_amplitude=float(amplitude),
@@ -394,11 +393,12 @@ def certify(
     """Certificates over a noise sweep for data synthesized from ``truth``.
 
     Per delta and noise model: data = integral of truth plus the model's
-    noise at radius delta, and the sup distance from the regularized
-    derivative to the truth, which is admissible for its own data.  Only if
-    the truth fails ``membership`` does empirical_sup_error fall back to its
-    generated pool, whose ``samples`` bump candidates are shared among its
-    bases and seeded by (seed, delta index, model index).  The certificate's
+    noise at radius delta, and one ``membership`` call on the truth.  A truth
+    that passes is admissible for its own data, and the cell's error is the
+    sup distance from the regularized derivative to it.  Only a truth that
+    fails falls back to empirical_sup_error's generated pool, whose
+    ``samples`` bump candidates are shared among its bases and seeded by
+    (seed, delta index, model index).  The certificate's
     lower bound is the max over models; it passes when that stays within the
     budget total.  Every count, model, stencil and delta (through its budget)
     is checked before any norm is computed.
@@ -416,16 +416,15 @@ def certify(
         emp = 0.0
         for mi, model in enumerate(models):
             data = add_noise(f, delta, model, seed)
-            sub_seed = int(rng_from(seed, di, mi).integers(0, 2**63))
             # The synthetic truth is an admissible solution for its own data,
             # so it alone anchors the lower bound; the generated pool is built
             # only when the truth fails the gate.
-            pool = [truth] if membership(truth, data, spec).ok else None
-            emp = max(
-                emp,
-                empirical_sup_error(data, spec, samples, seed=sub_seed,
-                                    candidates=pool, boundary=boundary),
-            )
+            if membership(truth, data, spec).ok:
+                err = sup_distance(differentiate(data, spec, boundary), truth)
+            else:
+                sub_seed = int(rng_from(seed, di, mi).integers(0, 2**63))
+                err = empirical_sup_error(data, spec, samples, seed=sub_seed, boundary=boundary)
+            emp = max(emp, err)
         certs.append(Certificate(
             float(delta), float(spec.a), float(spec.m_a), budget.h, budget.noise_term,
             budget.bias_term, budget.total, emp, bool(emp <= budget.total * BOUND_TOL),

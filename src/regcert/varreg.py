@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BOUND_TOL, InfeasibleError, InvalidMatrixError, InvalidParameterError
-from .errors import choice, count, positive_finite, vector
+from .errors import choice, count, positive_finite, vector, vectors
 from .seeding import rng_from
 from .spectral import ProblemSpec, SvdTriple, apply, make_problem, svd
 from .spectral import _norms as _norm, _sqnorms
@@ -114,16 +114,17 @@ def functional(problem: NonlinearProblem, v: np.ndarray, f_delta: np.ndarray, de
     """F(v) = ||A(v) - f_delta|| + delta * ||v||^2, per row for a stack (..., n)."""
     positive_finite(delta, "delta")
     f_delta = vector(f_delta, problem.n, "data vector")
-    v = np.asarray(v, dtype=float)
-    return _norm(problem.forward(v) - f_delta) + delta * phi(v)
+    return _objective(problem, vectors(v, problem.n, "v"), f_delta, delta)
 
 
 def _objective(problem, v, f_delta, delta=None):
-    """||r||^2 or, given ``delta``, F: the objective whose gradient _gradient gives."""
+    """||r||^2 or, given ``delta``, F: the objective whose gradient _gradient
+    gives.  The descent's inner loop calls it on checked inputs."""
+    rn = _norm(problem.forward(v) - f_delta)
     if delta is not None:
-        return functional(problem, v, f_delta, delta)
+        return rn + delta * phi(v)
     # float_power is C pow, as Python's float ** 2 is; x * x differs in the last bit.
-    return np.float_power(_norm(problem.forward(v) - f_delta), 2.0)
+    return np.float_power(rn, 2.0)
 
 
 def _project_cap(v: np.ndarray, cap: float) -> np.ndarray:
@@ -219,7 +220,8 @@ def minimize(
     positive_finite(delta, "delta")
     count(budget, "budget")
     count(restarts, "restarts")
-    extra_starts = [] if extra_starts is None else list(extra_starts)
+    extra_starts = [] if extra_starts is None else [
+        vector(v, problem.n, "extra start") for v in extra_starts]
     if restarts < 2 + len(extra_starts):
         raise InvalidParameterError(
             f"restarts must be >= {2 + len(extra_starts)} (the origin, the linearized "
@@ -232,7 +234,7 @@ def minimize(
     starts: list[np.ndarray] = [np.zeros(n)]
     lin = _sigma_inverse(apply(problem.b_svd, f_delta, delta), problem.nonlinearity)
     starts.append(_project_cap(lin, cap))
-    starts.extend(_project_cap(np.asarray(v, dtype=float), cap) for v in extra_starts)
+    starts.extend(_project_cap(v, cap) for v in extra_starts)
     rng = rng_from(seed)
     while len(starts) < restarts:
         d = rng.standard_normal(n)

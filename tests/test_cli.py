@@ -8,12 +8,14 @@ from regcert import (
     Grid,
     HolderSpec,
     ProblemSpec,
+    SampledFunction,
     SourceSpec,
     add_noise,
     certify,
     convergence_study,
     differentiate,
     error_budget,
+    holder_norm,
     integrate_volterra,
     linreg,
     make_nonlinear_problem,
@@ -519,6 +521,25 @@ class TestThinAdapter:
         assert np.array_equal(got.values, want.values)
         assert not np.array_equal(got.values, differentiate(data, spec).values)
 
+    def test_differentiate_input_equals_synthetic(self, tmp_path, capsys):
+        # A synthetic f_delta written as an x,value file: --input on it gives
+        # the synthetic run's stdout.  The file is the data {f_delta, delta};
+        # --n, --truth, --model and --seed shape only synthetic data, so with
+        # --input they are unused, even when they name nothing.
+        grid, spec = Grid(257), HolderSpec(2.0, 1.0)
+        truth = make_truth("sin2pi", grid, spec, 4)
+        data = add_noise(integrate_volterra(truth), 1e-3, "smooth", 4)
+        path = tmp_path / "f.csv"
+        cli._write_csv("x,value", zip(grid.nodes.tolist(), data.f_delta.values.tolist()),
+                       str(path))
+        args = ["differentiate", "--a", "2", "--m", "1", "--delta", "1e-3"]
+        assert run([*args, "--n", "257", "--truth", "sin2pi", "--model", "smooth",
+                    "--seed", "4"]) == 0
+        synthetic = capsys.readouterr().out
+        for unused in ([], ["--truth", "bogus"], ["--model", "bogus"]):
+            assert run([*args, "--input", str(path), *unused]) == 0
+            assert capsys.readouterr().out == synthetic
+
     def test_certify_diff_budget_columns_equal_module(self, tmp_path):
         out = tmp_path / "cd.csv"
         run(["certify-diff", "--n", "513", "--a", "2", "--m", "1",
@@ -580,6 +601,18 @@ class TestThinAdapter:
         assert len(rows) == len(study)
         for row, r in zip(rows, study):
             _assert_cells(row, [r.delta, r.F_value, r.c1_delta_bound, r.error_to_truth, True])
+
+
+def test_trig_truth_is_seeded_and_scaled_into_the_ball():
+    grid, spec = Grid(257), HolderSpec(1.5, 1.0)
+    truths = [make_truth("trig", grid, spec, seed).values for seed in range(4)]
+    assert np.array_equal(make_truth("trig", grid, spec, 2).values, truths[2])
+    assert len({t.tobytes() for t in truths}) == 4
+    for t in truths:
+        norm = holder_norm(SampledFunction(grid, t), spec.a)
+        assert norm == pytest.approx(0.999 * spec.m_a, rel=1e-12)
+    assert run(["certify-diff", "--n", "257", "--a", "1.5", "--m", "1",
+                "--deltas", "1e-2,1e-3", "--truth", "trig", "--seed", "1"]) == 0
 
 
 def test_stdout_emission(capsys):

@@ -32,7 +32,6 @@ from regcert import (
 from regcert.errors import (
     InvalidExponentError,
     InvalidMatrixError,
-    InvalidModelError,
     InvalidParameterError,
     InvalidSourceError,
 )
@@ -67,6 +66,28 @@ def test_wrong_vector_shape_raises_parameter_error(name, shape):
 def test_non_finite_vector_raises_parameter_error(name, x):
     with pytest.raises(InvalidParameterError, match="must have finite entries"):
         _CALLS[name](x)
+
+
+# functional's v, alone or as a row of a stack, and one extra start of
+# minimize, each with x in its place.
+_STARTS = {
+    "functional v": lambda x: functional(_PROBLEM, x, np.zeros(N), 1e-2),
+    "functional stacked v": lambda x: functional(
+        _PROBLEM, np.stack([np.zeros(len(x)), x]), np.zeros(N), 1e-2),
+    "minimize extra start": lambda x: minimize(
+        _PROBLEM, np.full(N, 0.1), 1e-2, budget=5, extra_starts=[x]),
+}
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.full(N, np.nan), "must have finite entries"),
+    (np.array([0.1, np.inf, 0.1]), "must have finite entries"),
+    (np.full(N + 1, 0.1), "has shape"),
+], ids=["all-nan", "one-inf", "wrong-length"])
+@pytest.mark.parametrize("name", sorted(_STARTS))
+def test_points_are_checked_like_vectors(name, x, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        _STARTS[name](x)
 
 
 _GRID = Grid(33)
@@ -117,8 +138,8 @@ _INTERVALS = {
     "ProblemSpec.n": (lambda x: ProblemSpec("volterra", x), InvalidMatrixError, 1025),
     "HolderSpec.a": (lambda x: HolderSpec(x, 1.0), InvalidExponentError, 2.5),
     "holder_norm a": (lambda x: holder_norm(_ZERO, x), InvalidExponentError, -0.5),
-    "NoisyData.delta": (lambda x: NoisyData(_ZERO, x, "spike"), InvalidModelError, -1.0),
-    "add_noise radius": (lambda x: add_noise(_ZERO, x, "spike"), InvalidModelError, np.inf),
+    "NoisyData.delta": (lambda x: NoisyData(_ZERO, x), InvalidParameterError, -1.0),
+    "add_noise radius": (lambda x: add_noise(_ZERO, x, "spike"), InvalidParameterError, np.inf),
 }
 
 

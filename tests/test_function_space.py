@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -270,10 +272,13 @@ class TestAddNoise:
     def test_unknown_model(self):
         g = Grid(11)
         f = SampledFunction(g, np.zeros(11))
-        with pytest.raises(InvalidModelError):
-            add_noise(f, 1e-3, "gaussian", seed=0)
-        with pytest.raises(InvalidModelError):
-            NoisyData(f, 1e-3, "gaussian")
+        for delta in (1e-3, 0.0):
+            with pytest.raises(InvalidModelError):
+                add_noise(f, delta, "gaussian", seed=0)
+
+    def test_noisy_data_is_the_data_alone(self):
+        # {f_delta, delta}: the noise model and seed that made it are not data.
+        assert [f.name for f in dataclasses.fields(NoisyData)] == ["f_delta", "delta"]
 
 
 def test_csv_round_trip(tmp_path):

@@ -261,6 +261,16 @@ class TestWorstCaseSearch:
             brute = _brute_force_2d(tri, src, f, delta, a)
             assert got == pytest.approx(brute, rel=0.02)
 
+    def test_zero_data_redirects_the_anchor(self):
+        # Zero data puts the anchor on rho = 0, where the ascent direction
+        # vanishes, so the anchor's row is redirected along a seeded draw.
+        # The supremum is 0.2, at y = (0, 0.2) on the data bound; the search
+        # may exceed it by the slack of its feasibility check.
+        tri = svd(np.diag([1.0, 0.5]))
+        got = worst_case_search(tri, SourceSpec(0.5, 1.0), np.zeros(2), 0.1, 0.1)
+        assert got == pytest.approx(0.2, rel=1e-12)
+        assert worst_case_search(tri, SourceSpec(0.5, 1.0), np.zeros(2), 0.1, 0.1) == got
+
     def test_infeasible(self):
         tri = svd(np.array([[1.0]]))
         # k tiny and data far from anything the source ball can produce

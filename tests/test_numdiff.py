@@ -71,7 +71,7 @@ class TestStepSize:
 class TestDifferentiate:
     def test_affine_exact_all_branches(self):
         g = Grid(101)
-        data = NoisyData(SampledFunction(g, g.nodes.copy()), 1e-3, "exact-shift")
+        data = NoisyData(SampledFunction(g, g.nodes.copy()), 1e-3)
         out = differentiate(data, HolderSpec(2.0, 1.0))
         np.testing.assert_allclose(out.values, 1.0, rtol=0, atol=1e-12)
 
@@ -81,7 +81,7 @@ class TestDifferentiate:
         g = Grid(201)
         spec = HolderSpec(2.0, 1.0)
         delta = 1e-3  # h snaps to 6 cells
-        data = NoisyData(SampledFunction(g, g.nodes**2 / 2.0), delta, "exact-shift")
+        data = NoisyData(SampledFunction(g, g.nodes**2 / 2.0), delta)
         out = differentiate(data, spec, boundary="paper")
         h = error_budget(delta, spec, g).h
         m = round(h / g.dx)
@@ -99,7 +99,7 @@ class TestDifferentiate:
         delta = g.dx**2  # forces h = c*sqrt(delta) = dx exactly, m = 1
         spec = HolderSpec(2.0, 1.0)
         e = delta * (-1.0) ** np.arange(g.n)
-        data = NoisyData(SampledFunction(g, g.nodes + e), delta, "alternating")
+        data = NoisyData(SampledFunction(g, g.nodes + e), delta)
         out = differentiate(data, spec, boundary="paper")
         np.testing.assert_allclose(out.values[1:-1], 1.0, rtol=0, atol=1e-10)
         assert out.values[0] == pytest.approx(1.0 - 2.0 * delta / g.dx, rel=1e-10)
@@ -111,7 +111,7 @@ class TestDifferentiate:
         spec = HolderSpec(2.0, 1.0)
         delta = 2.5e-3  # h = 5 dx
         f = np.sin(3.0 * g.nodes)
-        data = NoisyData(SampledFunction(g, f), delta, "exact-shift")
+        data = NoisyData(SampledFunction(g, f), delta)
         out = differentiate(data, spec, boundary="paper")
         m = round(error_budget(delta, spec, g).h / g.dx)
         h = m * g.dx
@@ -126,7 +126,7 @@ class TestDifferentiate:
         g = Grid(201)
         spec = HolderSpec(2.0, 1.0)
         delta = 1e-3  # h snaps to 6 cells
-        data = NoisyData(SampledFunction(g, g.nodes**2 / 2.0), delta, "exact-shift")
+        data = NoisyData(SampledFunction(g, g.nodes**2 / 2.0), delta)
         out = differentiate(data, spec)
         h = error_budget(delta, spec, g).h
         m = round(h / g.dx)
@@ -143,7 +143,7 @@ class TestDifferentiate:
         delta = g.dx**2  # forces h = dx, m = 1
         spec = HolderSpec(2.0, 1.0)
         e = delta * (-1.0) ** np.arange(g.n)
-        data = NoisyData(SampledFunction(g, g.nodes + e), delta, "alternating")
+        data = NoisyData(SampledFunction(g, g.nodes + e), delta)
         out = differentiate(data, spec)
         np.testing.assert_allclose(out.values, 1.0, rtol=0, atol=1e-10)
 
@@ -154,7 +154,7 @@ class TestDifferentiate:
         spec = HolderSpec(2.0, 1.0)
         delta = 2.5e-3  # h = 5 dx
         f = np.sin(3.0 * g.nodes)
-        data = NoisyData(SampledFunction(g, f), delta, "exact-shift")
+        data = NoisyData(SampledFunction(g, f), delta)
         out = differentiate(data, spec)
         m = round(error_budget(delta, spec, g).h / g.dx)
         h = m * g.dx
@@ -165,7 +165,7 @@ class TestDifferentiate:
 
     def test_step_too_large(self):
         g = Grid(11)
-        data = NoisyData(SampledFunction(g, g.nodes.copy()), 0.5, "exact-shift")
+        data = NoisyData(SampledFunction(g, g.nodes.copy()), 0.5)
         with pytest.raises(StepTooLargeError):
             differentiate(data, HolderSpec(2.0, 1.0))
 
@@ -174,7 +174,7 @@ class TestDifferentiate:
         # but the step-2h branches would read past x = 1.
         g = Grid(11)
         spec = HolderSpec(2.0, 1.0)
-        data = NoisyData(SampledFunction(g, g.nodes.copy()), 0.16, "exact-shift")
+        data = NoisyData(SampledFunction(g, g.nodes.copy()), 0.16)
         assert round(error_budget(0.16, spec, g).h / g.dx) == 4
         differentiate(data, spec, boundary="paper")
         with pytest.raises(StepTooLargeError):
@@ -188,7 +188,7 @@ class TestDifferentiate:
         for n in range(3, 40):
             g = Grid(n)
             for delta in np.logspace(-4, 0, 25):
-                data = NoisyData(SampledFunction(g, g.nodes.copy()), delta, "exact-shift")
+                data = NoisyData(SampledFunction(g, g.nodes.copy()), delta)
                 m = round(error_budget(delta, spec, g).h / g.dx)
                 for boundary, too_large in (("sound", 3 * m > n - 1), ("paper", 2 * m >= n - 1)):
                     if too_large:
@@ -200,7 +200,7 @@ class TestDifferentiate:
 
     def test_unknown_boundary_rejected(self):
         g = Grid(101)
-        data = NoisyData(SampledFunction(g, g.nodes.copy()), 1e-3, "exact-shift")
+        data = NoisyData(SampledFunction(g, g.nodes.copy()), 1e-3)
         with pytest.raises(InvalidParameterError, match="boundary"):
             differentiate(data, HolderSpec(2.0, 1.0), boundary="central")
 
@@ -267,7 +267,7 @@ class TestMembership:
         g = Grid(1025)
         spec = HolderSpec(2.0, 1.0)
         wp = witness_pair(1e-4, spec, 0.5, g)
-        data = NoisyData(wp.f_delta, 1e-4, "exact-shift")
+        data = NoisyData(wp.f_delta, 1e-4)
         assert membership(wp.v_plus, data, spec).ok
         assert membership(wp.v_minus, data, spec).ok
 
@@ -365,7 +365,7 @@ class TestEmpiricalSupError:
         g = Grid(1025)
         spec = HolderSpec(2.0, 1.0)
         wp = witness_pair(1e-4, spec, 0.5, g)
-        data = NoisyData(wp.f_delta, 1e-4, "exact-shift")
+        data = NoisyData(wp.f_delta, 1e-4)
         got = empirical_sup_error(data, spec, 2, seed=0, candidates=[wp.v_plus, wp.v_minus])
         assert got >= wp.separation / 2.0
 
@@ -399,7 +399,7 @@ class TestEmpiricalSupError:
         spec = HolderSpec(1.5, 2.0)
         u = scaled_truth(g, HolderSpec(1.5, 1.0), np.sin(2 * np.pi * g.nodes))
         data = add_noise(integrate_volterra(u), 1e-3, "smooth", seed=4)
-        data = NoisyData(data.f_delta, 2e-3, data.model, data.seed)
+        data = NoisyData(data.f_delta, 2e-3)
         base = membership(u, data, spec)
         assert base.residual < 0.6 * data.delta and base.norm < 0.6 * spec.m_a
         pool = member_candidates(u, data, spec, 16, seed=7)
@@ -429,7 +429,7 @@ class TestEmpiricalSupError:
 
     def test_empty_admissible_set(self):
         g = Grid(257)
-        data = NoisyData(SampledFunction(g, 5.0 * g.nodes), 1e-6, "exact-shift")
+        data = NoisyData(SampledFunction(g, 5.0 * g.nodes), 1e-6)
         with pytest.raises(EmptyAdmissibleSetError):
             empirical_sup_error(data, HolderSpec(2.0, 0.05), 4, seed=0)
 
@@ -457,14 +457,15 @@ class TestCertify:
             budget = error_budget(c.delta, spec, g)
             assert (c.h, c.noise_term, c.bias_term, c.total) == (
                 budget.h, budget.noise_term, budget.bias_term, budget.total)
-            # The truth is in every pool, so its error is a floor.
+            # The truth anchors every cell, so its error is a floor.
             assert c.empirical_lower > 0.0
             assert c.passed == (c.empirical_lower <= c.total * BOUND_TOL)
         assert certify(u, spec, deltas, ["spike", "smooth"], 3, seed=4) == certs
 
     def test_one_membership_call_per_candidate(self, monkeypatch):
-        # Per (delta, model): one call to check the truth, then the gate once
-        # on the one-candidate pool; no bumps are built around the truth.
+        # Per (delta, model): one gate call on the truth, which passes; no
+        # pool is built around it, so empirical_sup_error (None here) is
+        # never called.
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
         u = scaled_truth(g, spec, g.nodes**2)
@@ -476,9 +477,10 @@ class TestCertify:
             return real(v, data, spec)
 
         monkeypatch.setattr(numdiff, "membership", counting)
+        monkeypatch.setattr(numdiff, "empirical_sup_error", None)
         samples, deltas, models = 5, [1e-3, 1e-4], ["spike", "smooth"]
         certify(u, spec, deltas, models, samples, seed=2)
-        assert len(calls) == 2 * len(deltas) * len(models)
+        assert len(calls) == len(deltas) * len(models)
         assert all(v is u for v in calls)
 
     def test_inadmissible_truth_falls_back_to_generated_pool(self):
