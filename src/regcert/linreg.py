@@ -22,7 +22,8 @@ from .errors import BOUND_TOL, DegenerateProblemError, InfeasibleError, InvalidS
 # count as _count: sample_source_set has a parameter named count.
 from .errors import count as _count, positive_finite, vector, within
 from .seeding import rng_from
-from .spectral import ProblemSpec, SvdTriple, _filter, _norms, make_problem
+# make_problem is not called here: linreg.make_problem stays a name for callers.
+from .spectral import ProblemSpec, SvdTriple, _filter, _norms, factors, make_problem, right
 
 # Coefficients on exact null-space modes larger than this are treated as a
 # genuine component outside the source set.
@@ -108,7 +109,7 @@ def source_membership(y: np.ndarray, svd: SvdTriple, source: SourceSpec) -> tupl
     the set (value +inf): the weight s^{-2p} diverges there.
     """
     y = vector(y, svd.n, "vector")
-    coef = svd.v.T @ y
+    coef = right(svd).T @ y
     pos = svd.sigma > 0.0
     if np.any(np.abs(coef[~pos]) > NULL_COEF_TOL):
         return float("inf"), False
@@ -119,25 +120,29 @@ def source_membership(y: np.ndarray, svd: SvdTriple, source: SourceSpec) -> tupl
 def sample_source_set(
     svd: SvdTriple, source: SourceSpec, count: int, seed: int = 0
 ) -> list[np.ndarray]:
-    """Seeded boundary members of the source set.
+    """Seeded boundary members V c of the source set, c from ``_boundary_coef``.
 
-    Spectral energies are a random unit-simplex split of k_p^2 s_i^{2p}
-    across the positive modes, with random signs; every sample meets the
-    source bound with value k_p^2 up to round-off.
+    Every sample meets the source bound with value k_p^2 up to round-off.
     """
     _count(count, "count")
+    v = right(svd)
+    return [v @ _boundary_coef(svd, source, rng_from(seed, j)) for j in range(count)]
+
+
+def _boundary_coef(svd: SvdTriple, source: SourceSpec, rng: np.random.Generator) -> np.ndarray:
+    """V-coordinates c = V^T y of one seeded boundary member y of the source set.
+
+    Spectral energies are a random unit-simplex split of k_p^2 s_i^{2p}
+    across the positive modes, with random signs; null modes get 0.
+    """
     pos = np.flatnonzero(svd.sigma > 0.0)
     if pos.size == 0:
         raise DegenerateProblemError("all singular values are zero")
-    out = []
-    for j in range(count):
-        rng = rng_from(seed, j)
-        w = rng.dirichlet(np.ones(pos.size))
-        signs = rng.choice([-1.0, 1.0], size=pos.size)
-        coef = np.zeros(svd.n)
-        coef[pos] = signs * source.k_p * np.sqrt(w) * svd.s[pos] ** source.p
-        out.append(svd.v @ coef)
-    return out
+    w = rng.dirichlet(np.ones(pos.size))
+    signs = rng.choice([-1.0, 1.0], size=pos.size)
+    coef = np.zeros(svd.n)
+    coef[pos] = signs * source.k_p * np.sqrt(w) * svd.s[pos] ** source.p
+    return coef
 
 
 def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
@@ -555,10 +560,14 @@ def certify(
     """Certificates over a noise sweep.
 
     Every delta's a = choose_a(delta), which also checks delta, is worked
-    out before the matrix is factorized.  Per delta: `trials` seeded draws
-    of a boundary source-set member y and a noise vector with ||e|| <= delta
-    (the first trial uses the most noise-amplified singular direction); the
-    recorded empirical lower bound is the max over trials of the ascent of
+    out before the factors are built.  Only U and sigma are built
+    (``factors``): the search and the bounds work in V-coordinates, so V
+    and the matrix A are never formed.  Per delta: `trials` seeded draws
+    of the V-coordinates c of a boundary source-set member y = V c (the
+    draws of ``sample_source_set``) and of a noise vector with
+    ||e|| <= delta (the first trial uses the most noise-amplified singular
+    direction), with data f_delta = U (sigma * c) + e, which is A y + e;
+    the recorded empirical lower bound is the max over trials of the ascent of
     worst_case_search, run for 30 steps from `restarts` starts (against
     worst_case_search's 40 steps from 32 starts by default).
     Every task is drawn and prepared here first; the searches then run in
@@ -576,21 +585,21 @@ def certify(
     _count(restarts, "restarts")
     deltas = [float(d) for d in deltas]
     a_of = [choose_a(delta, source) for delta in deltas]
-    matrix, tri = make_problem(problem)
+    tri = factors(problem)
     pack = constants(source)
     p, k = source.p, source.k_p
 
     def one_trial(di: int, ti: int) -> _Search | float:
         delta, a = deltas[di], a_of[di]
         rng = rng_from(seed, di, ti)
-        y = sample_source_set(tri, source, 1, seed=int(rng.integers(0, 2**63)))[0]
+        c = _boundary_coef(tri, source, rng_from(int(rng.integers(0, 2**63)), 0))
         if ti == 0:
             j_star = int(np.argmax(_filter(tri, a)))
             e = delta * tri.u[:, j_star]
         else:
             d = rng.standard_normal(tri.n)
             e = delta * d / max(float(np.linalg.norm(d)), 1e-300)
-        f_delta = matrix @ y + e
+        f_delta = tri.u @ (tri.sigma * c) + e
         return _prepare(
             tri, source, f_delta, delta, a, restarts, seed=int(rng.integers(0, 2**63))
         )
@@ -598,7 +607,7 @@ def certify(
     def ascend(share: list[list[_Search]]) -> list[float]:
         return [v for block in share for v in _ascend(tri, source, block, 30)]
 
-    # Every BLAS call (make_problem, and the gemvs of one_trial and _prepare)
+    # Every BLAS call (factors, and the gemvs of one_trial and _prepare)
     # runs before any worker starts; see the comment above _usable_cpus.
     items = [one_trial(di, ti) for di in range(len(deltas)) for ti in range(trials)]
     searches = [x for x in items if isinstance(x, _Search)]

@@ -10,8 +10,11 @@ regularizer, varreg's linearized start), and the row norms ``_norms`` and
 
 No gallery kind runs a dense SVD.  The diagonal kinds are built from their
 own SVD, A = Q1 diag(d) Q2^T, so they carry the triple by construction; the
-volterra matrix's triple has a closed form (``_volterra_triple``).  ``svd``
-stays as the dense LAPACK SVD of a general square matrix.
+volterra matrix's triple has a closed form (``_volterra_triple``).
+``factors`` builds a kind's triple, by default left-only (U and sigma, no
+V), which is all that forming data U (sigma * c) and the spectral bounds
+read; ``make_problem`` adds V and the matrix A.  ``svd`` stays as the dense
+LAPACK SVD of a general square matrix.
 """
 
 from __future__ import annotations
@@ -34,14 +37,18 @@ PROBLEM_KINDS = ("volterra", "diagonal", "rotated-diagonal")
 
 @dataclass(frozen=True)
 class SvdTriple:
-    """Singular value decomposition A = U diag(sigma) V^T, sigma descending."""
+    """Singular value decomposition A = U diag(sigma) V^T, sigma descending.
+
+    v is None on a left-only triple (``factors``'s default), which carries
+    U and sigma alone; ``right`` refuses it.
+    """
 
     u: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
 
     def __post_init__(self):
-        for name in ("u", "sigma", "v"):
+        for name in ("u", "sigma", "v")[:2 if self.v is None else 3]:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr = arr.copy()
             arr.flags.writeable = False
@@ -105,6 +112,13 @@ def _flush_null_modes(sig: np.ndarray) -> np.ndarray:
     return sig
 
 
+def right(svd: SvdTriple) -> np.ndarray:
+    """V of the triple; a left-only triple raises InvalidMatrixError."""
+    if svd.v is None:
+        raise InvalidMatrixError("this needs V, but the triple carries only U and sigma")
+    return svd.v
+
+
 def _filter(svd: SvdTriple, a: float) -> np.ndarray:
     return svd.sigma / (svd.s + a)
 
@@ -117,7 +131,7 @@ def apply(svd: SvdTriple, f_delta: np.ndarray, a: float) -> np.ndarray:
     """
     positive_finite(a, "regularization parameter")
     f_delta = vector(f_delta, svd.n, "data vector")
-    return svd.v @ (_filter(svd, a) * (svd.u.T @ f_delta))
+    return right(svd) @ (_filter(svd, a) * (svd.u.T @ f_delta))
 
 
 def _sqnorms(x: np.ndarray) -> np.ndarray:
@@ -145,8 +159,8 @@ def volterra_matrix(n: int) -> np.ndarray:
     return a
 
 
-def _volterra_triple(n: int) -> SvdTriple:
-    """Closed-form SVD of ``volterra_matrix(n)``.
+def _volterra_triple(n: int, with_v: bool) -> SvdTriple:
+    """Closed-form SVD of ``volterra_matrix(n)``; left-only unless ``with_v``.
 
     With m = n - 1 and h = 1/m, row 0 is zero and rows 1..m are (h/2) L B,
     L the m x m lower-triangular ones and B[i, i] = B[i, i+1] = 1.  The
@@ -184,16 +198,18 @@ def _volterra_triple(n: int) -> SvdTriple:
     alpha = np.outer(2 * k - 1, two_x) % (8 * m) * (np.pi / (4 * m))
     alpha += phi[:, None] * (1.0 - two_x / (2.0 * m))
     ut = np.zeros((n, n))
-    vt = np.empty((n, n))
     np.sin(alpha, out=ut[:m, 1:])
+    ut[:m] /= np.linalg.norm(ut[:m], axis=1)[:, None]
+    ut[m, 0] = 1.0
+    sigma = _flush_null_modes(np.append(0.5 / (m * np.tan(half)), 0.0))
+    if not with_v:
+        return SvdTriple(u=ut.T, sigma=sigma, v=None)
+    vt = np.empty((n, n))
     np.cos(alpha, out=vt[:m, 1:])
     vt[:m, 0] = np.cos(phi) / (2.0 * np.cos(half))
-    ut[:m] /= np.linalg.norm(ut[:m], axis=1)[:, None]
     vt[:m] /= np.linalg.norm(vt[:m], axis=1)[:, None]
-    ut[m, 0] = 1.0
     vt[m] = (-1.0) ** np.arange(n) / np.sqrt(n)
-    sigma = np.append(0.5 / (m * np.tan(half)), 0.0)
-    return SvdTriple(u=ut.T, sigma=_flush_null_modes(sigma), v=vt.T)
+    return SvdTriple(u=ut.T, sigma=sigma, v=vt.T)
 
 
 def _seeded_orthogonal(n: int, rng) -> np.ndarray:
@@ -203,23 +219,40 @@ def _seeded_orthogonal(n: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def make_problem(spec: ProblemSpec) -> tuple[np.ndarray, SvdTriple]:
-    """Build the gallery matrix and its singular triple.
+def factors(spec: ProblemSpec, with_v: bool = False) -> SvdTriple:
+    """The gallery matrix's singular triple, left-only unless ``with_v``.
 
-    The diagonal kinds are assembled as A = Q1 diag(d) Q2^T from the
-    descending power law d_k = k^-q (Q1 = Q2 = I for ``diagonal``), so their
-    triple is (Q1, d, Q2) with no factorization; ``volterra``'s comes from
-    its closed form.  No kind runs a dense SVD.
+    The diagonal kinds are A = Q1 diag(d) Q2^T with the descending power
+    law d_k = k^-q, so their triple is (Q1, d, Q2) with no factorization:
+    Q1 = Q2 = I for ``diagonal``, and for ``rotated-diagonal`` Q1 and then
+    Q2 are the seeded QR factors of two draws from one generator, so the
+    left-only triple runs one QR.  ``volterra``'s comes from its closed
+    form, whose V half is skipped on a left-only triple.  No kind runs a
+    dense SVD or forms A.
     """
     if spec.kind == "volterra":
-        return volterra_matrix(spec.n), _volterra_triple(spec.n)
+        return _volterra_triple(spec.n, with_v)
     d = np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)
     if spec.kind == "diagonal":
         q1 = q2 = np.eye(spec.n)
-        a = np.diag(d)
     else:
         rng = rng_from(spec.seed)
         q1 = _seeded_orthogonal(spec.n, rng)
-        q2 = _seeded_orthogonal(spec.n, rng)
-        a = (q1 * d) @ q2.T
-    return a, SvdTriple(u=q1, sigma=_flush_null_modes(d), v=q2)
+        q2 = _seeded_orthogonal(spec.n, rng) if with_v else None
+    return SvdTriple(u=q1, sigma=_flush_null_modes(d), v=q2 if with_v else None)
+
+
+def make_problem(spec: ProblemSpec) -> tuple[np.ndarray, SvdTriple]:
+    """The gallery matrix A and its full singular triple, ``factors(spec, True)``.
+
+    A is ``volterra_matrix`` for ``volterra`` and Q1 diag(d) Q2^T, with d
+    before the null-mode flush, for the diagonal kinds.  Only the callers
+    that form A y, or need V, want this: linreg's certify reads U and sigma
+    alone and calls ``factors``.
+    """
+    tri = factors(spec, with_v=True)
+    if spec.kind == "volterra":
+        return volterra_matrix(spec.n), tri
+    d = np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)
+    a = np.diag(d) if spec.kind == "diagonal" else (tri.u * d) @ tri.v.T
+    return a, tri

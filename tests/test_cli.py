@@ -262,10 +262,10 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
             "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.04976471048163167,"
-            "0.049764710481631655,0.1,0.07815428417307027,true\n"
+            "0.049764710481631655,0.1,0.0781542841730703,true\n"
             "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
             "0.015809865444111972,0.015809865444111972,0.03162277660168379,"
-            "0.024033685472935096,true\n"
+            "0.024033685472935214,true\n"
         )
         assert run(["certify-linear", "--problem", "rotated-diagonal", "--n", "256",
                     "--p", "0.5", "--k", "1", "--deltas", "1e-4:1e-1:log4", "--trials", "5",
@@ -273,15 +273,15 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
             "0.0001,9.999999999999998e-05,0.5,1.0,0.005000000000000001,0.005,"
-            "0.005000000000000001,0.004999999999999999,0.01,0.008005231924626674,true\n"
+            "0.005000000000000001,0.004999999999999999,0.01,0.008005231924626639,true\n"
             "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
             "0.015810276679841896,0.015810276679841893,0.03162277660168379,"
-            "0.025199761523310518,true\n"
+            "0.025199761523310552,true\n"
             "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.05,"
             "0.04999999999999999,0.1,0.08383221038619794,true\n"
             "0.1,0.09999999999999998,0.5,1.0,0.158113883008419,0.15811388300841897,"
             "0.15789473684210528,0.15789473684210525,0.31622776601683794,"
-            "0.25158574226707314,true\n"
+            "0.2515857422670731,true\n"
         )
         assert run(["certify-linear", "--problem", "diagonal", "--n", "40", "--q", "1.5",
                     "--p", "0.25", "--k", "2", "--deltas", "1e-4:1e-1:log4", "--trials", "3",

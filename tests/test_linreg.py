@@ -187,6 +187,22 @@ class TestSampleSourceSet:
         with pytest.raises(DegenerateProblemError):
             sample_source_set(tri, SourceSpec(0.5, 1.0), 1, seed=0)
 
+    @pytest.mark.parametrize("kind", spectral.PROBLEM_KINDS)
+    def test_boundary_coef_is_the_samples_coordinates(self, kind):
+        _, tri = make_problem(ProblemSpec(kind, 64, q=1.2, seed=3))
+        src = SourceSpec(0.4, 0.9)
+        c = linreg._boundary_coef(tri, src, rng_from(11, 0))
+        assert np.array_equal(tri.v @ c, sample_source_set(tri, src, 1, seed=11)[0])
+
+    @pytest.mark.parametrize("n", [3, 64, 257])
+    @pytest.mark.parametrize("kind", spectral.PROBLEM_KINDS)
+    def test_left_data_equals_matrix_data(self, kind, n):
+        # certify forms A y, y = V c, as U (sigma * c).
+        a, tri = make_problem(ProblemSpec(kind, n, q=1.2, seed=3))
+        c = linreg._boundary_coef(tri, SourceSpec(0.5, 1.0), rng_from(4, 0))
+        ay = a @ (tri.v @ c)
+        assert np.max(np.abs(ay - tri.u @ (tri.sigma * c))) <= 1e-12 * np.max(np.abs(ay))
+
 
 class TestBiasSup:
     def test_maximizer_inserted(self):
@@ -524,19 +540,45 @@ class TestCertify:
     def test_volterra_sign_convention_leaves_first_trial(self, monkeypatch):
         # Trial 0 puts its noise along u_{j*} and draws its source member in
         # V coordinates, so it does not see the singular vectors' signs: the
-        # closed-form volterra triple and LAPACK's give the same certificates.
+        # closed-form volterra factors and LAPACK's give the same certificates.
         args = (ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4])
         closed = certify(*args, trials=1, seed=42)
-        a = volterra_matrix(64)
-        dense_tri = svd(a)
-        assert not np.all(dense_tri.v[0, :-1] > 0)  # LAPACK's signs differ
-        monkeypatch.setattr(linreg, "make_problem", lambda spec: (a, dense_tri))
+        dense_tri = svd(volterra_matrix(64))
+        assert not np.all(dense_tri.u[1, :-1] > 0)  # LAPACK's signs differ
+        built = []
+
+        def lapack_factors(spec):
+            built.append(spec)
+            return spectral.SvdTriple(u=dense_tri.u, sigma=dense_tri.sigma, v=None)
+
+        monkeypatch.setattr(linreg, "factors", lapack_factors)
         dense = certify(*args, trials=1, seed=42)
+        assert built == [args[0]]
         for c, d in zip(closed, dense):
             names = [f.name for f in dataclasses.fields(c) if f.name != "passed"]
             assert [getattr(c, f) for f in names] == pytest.approx(
                 [getattr(d, f) for f in names], rel=1e-12)
             assert c.passed == d.passed
+
+    @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 64),
+                                         ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4)],
+                             ids=["volterra", "rotated-diagonal"])
+    def test_builds_only_u_and_sigma(self, problem, monkeypatch):
+        # rotated-diagonal's V is the second seeded QR; volterra's A is
+        # volterra_matrix.  certify reads neither, nor make_problem's triple.
+        built = []
+
+        def recording(name, inner):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((np.linalg, "qr"), (spectral, "make_problem"),
+                             (linreg, "make_problem"), (spectral, "volterra_matrix")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        certify(problem, SourceSpec(0.5, 1.0), [1e-2, 1e-4], trials=2, seed=1)
+        assert built == (["qr"] if problem.kind == "rotated-diagonal" else [])
 
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 64),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regcert import ProblemSpec, make_problem, svd
+from regcert import ProblemSpec, factors, make_problem, svd
 from regcert.errors import InvalidMatrixError
 from regcert.seeding import rng_from
 from regcert.spectral import MAX_DENSE_N, PROBLEM_KINDS, ZERO_SV_RTOL, volterra_matrix
@@ -132,6 +132,21 @@ class TestClosedForm:
         assert np.all(tri.v[0, :-1] > 0) and np.all(tri.u[1, :-1] > 0)
         for arr in (tri.u, tri.sigma, tri.v):
             assert not arr.flags.writeable
+
+
+class TestFactors:
+    """``factors`` builds U and sigma alone, with make_problem's bits."""
+
+    @pytest.mark.parametrize("n", [3, 64, 257])
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_left_only_equals_make_problem(self, kind, n, monkeypatch):
+        spec = ProblemSpec(kind, n, q=0.7, seed=5)
+        _, full = make_problem(spec)
+        monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
+        left = factors(spec)
+        assert left.v is None
+        assert np.array_equal(left.u, full.u) and np.array_equal(left.sigma, full.sigma)
+        assert not left.u.flags.writeable and not left.sigma.flags.writeable
 
 
 class TestGallery:
