@@ -258,10 +258,11 @@ def _write_csv(header: str, rows, out: Optional[str]) -> None:
 
 
 def _write_certificates(certs, out: Optional[str]) -> int:
-    """Write certificates as CSV, one column per dataclass field in order
-    (``passed`` as ``pass``); 0 when every one passes, 2 otherwise."""
-    names = ["pass" if f.name == "passed" else f.name for f in fields(certs[0])]
-    _write_csv(",".join(names), map(astuple, certs), out)
+    """Write certificates as CSV, one column per dataclass field in order and
+    the verdict ``passed`` last, as ``pass``; 0 when every one passes, 2
+    otherwise."""
+    names = [f.name for f in fields(certs[0])] + ["pass"]
+    _write_csv(",".join(names), [(*astuple(c), c.passed) for c in certs], out)
     return 0 if all(c.passed for c in certs) else 2
 
 

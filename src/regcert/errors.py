@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, its six input checks, and the
-one tolerance factor of its bound checks.
+one tolerance factor of its bound checks and pass rule (``Bracket``).
 
 Each input rule has one definition: ``positive_finite`` (0 < x < inf),
 ``within`` (an interval), ``count`` (an integer >= 1; a sequence is
@@ -16,6 +16,18 @@ import numpy as np
 # genuinely out-of-class candidates.  The admissibility and pass tests of
 # all three constructions scale their bounds by it.
 BOUND_TOL = 1.0 + 1e-9
+
+
+class Bracket:
+    """The verdict of a certificate with an ``empirical_lower`` field and the
+    upper bound's field named in ``UPPER``: it passes when the lower bound
+    is at most the upper one times BOUND_TOL."""
+
+    UPPER: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.empirical_lower <= getattr(self, self.UPPER) * BOUND_TOL)
 
 
 class RegcertError(Exception):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BOUND_TOL, DegenerateProblemError, InfeasibleError, InvalidSourceError
+from .errors import BOUND_TOL, Bracket, DegenerateProblemError, InfeasibleError, InvalidSourceError
 # count as _count: sample_source_set has a parameter named count.
 from .errors import count as _count, positive_finite, vector, within
 from .seeding import rng_from
@@ -28,6 +28,9 @@ from .spectral import ProblemSpec, SvdTriple, _filter, _norms, factors, make_pro
 # Coefficients on exact null-space modes larger than this are treated as a
 # genuine component outside the source set.
 NULL_COEF_TOL = 1e-14
+
+# Starts per search, in certify and worst_case_search alike.
+RESTARTS = 4
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,13 @@ class ConstantsPack:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Worst-case error bracket for one noise level.
+class Certificate(Bracket):
+    """Worst-case error bracket for one noise level: rate_bound over empirical_lower.
 
     The fields are the columns of ``regcert certify-linear``'s CSV, in order.
     """
+
+    UPPER = "rate_bound"
 
     delta: float
     a: float
@@ -73,7 +78,6 @@ class Certificate:
     J2_disc: float
     rate_bound: float
     empirical_lower: float
-    passed: bool
 
     @property
     def total_cont(self) -> float:
@@ -230,41 +234,25 @@ def _shrink_root(r2: np.ndarray, w: np.ndarray, bound_sq) -> np.ndarray:
     return mu
 
 
-def _rows(over: np.ndarray):
-    """Index of the rows over a bound: a view-giving slice when every row is."""
-    return slice(None) if over.all() else over
-
-
-def _put(z: np.ndarray, rows, new: np.ndarray) -> np.ndarray:
-    """z with `rows` replaced by new; new itself when rows is every row."""
-    if isinstance(rows, slice):
-        return new
-    z = z.copy()
-    z[rows] = new
-    return z
-
+# The two projections write the rows over their bound into z and return it.
 
 def _project_source(z: np.ndarray, c: np.ndarray, k_sq: float) -> np.ndarray:
     cz2 = c * z * z
     over = ~(cz2.sum(axis=1) <= k_sq)
-    if not over.any():
-        return z
-    rows = _rows(over)
-    cz2 = cz2[rows]
-    mu = _shrink_root(cz2, c, k_sq)
-    return _put(z, rows, z[rows] / (1.0 + mu[:, None] * c))
+    if over.any():
+        mu = _shrink_root(cz2[over], c, k_sq)
+        z[over] = z[over] / (1.0 + mu[:, None] * c)
+    return z
 
 
 def _project_data(z: np.ndarray, sigma: np.ndarray, s: np.ndarray, g: np.ndarray,
                   delta_sq: np.ndarray) -> np.ndarray:
     r2 = np.square(sigma * z - g)
     over = ~(r2.sum(axis=1) <= delta_sq)
-    if not over.any():
-        return z
-    rows = _rows(over)
-    r2 = r2[rows]
-    nu = _shrink_root(r2, s, delta_sq[rows])[:, None]
-    return _put(z, rows, (z[rows] + nu * sigma * g[rows]) / (1.0 + nu * s))
+    if over.any():
+        nu = _shrink_root(r2[over], s, delta_sq[over])[:, None]
+        z[over] = (z[over] + nu * sigma * g[over]) / (1.0 + nu * s)
+    return z
 
 
 def _project_intersection(z0, c, k_sq, sigma, s, g, delta_sq, sweeps, tol):
@@ -405,9 +393,8 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
     return _Search(g, rho, anchor, delta_eff_sq, scale, np.array(starts[:restarts]), rng)
 
 
-def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search],
-            iters: int) -> list[float]:
-    """Run every restart of every search as one row; each search's best value.
+def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search]) -> list[float]:
+    """Run every restart of every search as one row, at most 30 steps; each search's best value.
 
     A row whose ascent direction vanishes (distance to rho below 1e-15 of
     the scale) is redirected along a standard normal draw from its search's
@@ -438,7 +425,7 @@ def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search],
     zl, rho_l, scale_l = z.copy(), rho, scale
     val = _objective(zl, rho_l)
     step = np.full(len(z), 0.5)
-    for _ in range(iters):
+    for _ in range(30):
         d = zl - rho_l
         nd = _norms(d)
         for i in np.flatnonzero(nd < 1e-15 * scale_l):
@@ -481,7 +468,7 @@ def worst_case_search(
     f_delta: np.ndarray,
     delta: float,
     a: float,
-    restarts: int = 32,
+    restarts: int = RESTARTS,
     seed: int = 0,
 ) -> float:
     """Lower estimate of sup ||r - y|| over admissible y.
@@ -491,14 +478,14 @@ def worst_case_search(
     gradient ascent, with the restarts run together as the rows of one
     array (see _ascend); at n = 1 the feasible set is an interval and the
     distance to rho, convex along it, peaks at one of its ends, so the
-    result is exact there.  Raises InfeasibleError when no y satisfies both
-    constraints.
+    result is exact there.  It is certify's search of one task.  Raises
+    InfeasibleError when no y satisfies both constraints.
     """
     _count(restarts, "restarts")
     search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
     if isinstance(search, float):
         return search
-    return _ascend(svd, source, [search], 40)[0]
+    return _ascend(svd, source, [search])[0]
 
 
 # certify's workers.  A block's ascent is a Python loop over numpy calls on
@@ -555,7 +542,7 @@ def certify(
     trials: int,
     seed: int = 0,
     threads: int = 1,
-    restarts: int = 4,
+    restarts: int = RESTARTS,
 ) -> list[Certificate]:
     """Certificates over a noise sweep.
 
@@ -567,9 +554,8 @@ def certify(
     draws of ``sample_source_set``) and of a noise vector with
     ||e|| <= delta (the first trial uses the most noise-amplified singular
     direction), with data f_delta = U (sigma * c) + e, which is A y + e;
-    the recorded empirical lower bound is the max over trials of the ascent of
-    worst_case_search, run for 30 steps from `restarts` starts (against
-    worst_case_search's 40 steps from 32 starts by default).
+    the recorded empirical lower bound is the max over trials of
+    worst_case_search's value from `restarts` starts.
     Every task is drawn and prepared here first; the searches then run in
     blocks of whole searches, every restart of a block as one row of its
     arrays.  With `threads` > 1 the blocks are split into at most
@@ -605,7 +591,7 @@ def certify(
         )
 
     def ascend(share: list[list[_Search]]) -> list[float]:
-        return [v for block in share for v in _ascend(tri, source, block, 30)]
+        return [v for block in share for v in _ascend(tri, source, block)]
 
     # Every BLAS call (factors, and the gemvs of one_trial and _prepare)
     # runs before any worker starts; see the comment above _usable_cpus.
@@ -646,7 +632,6 @@ def certify(
                 J2_disc=float(j2_disc),
                 rate_bound=float(rate),
                 empirical_lower=float(emp),
-                passed=bool(emp <= rate * BOUND_TOL),
             )
         )
     return certs

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BOUND_TOL,
+    Bracket,
     EmptyAdmissibleSetError,
     InvalidModelError,
     ResolutionError,
@@ -78,13 +79,15 @@ class WitnessPair:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Bracket):
     """Worst-case error bracket for one noise level: the budget total above,
     the largest sampled error over admissible solutions below.
 
     The fields are the columns of ``regcert certify-diff``'s CSV, in order:
     the class (a, M) and the budget's step and terms.
     """
+
+    UPPER = "total"
 
     delta: float
     a: float
@@ -94,7 +97,6 @@ class Certificate:
     bias_term: float
     total: float
     empirical_lower: float
-    passed: bool
 
 
 class Membership(NamedTuple):
@@ -399,8 +401,8 @@ def certify(
     fails falls back to empirical_sup_error's generated pool, whose
     ``samples`` bump candidates are shared among its bases and seeded by
     (seed, delta index, model index).  The certificate's
-    lower bound is the max over models; it passes when that stays within the
-    budget total.  Every count, model, stencil and delta (through its budget)
+    lower bound is the max over models, and its upper bound the budget
+    total.  Every count, model, stencil and delta (through its budget)
     is checked before any norm is computed.
     """
     count(len(deltas), "number of deltas")
@@ -427,6 +429,5 @@ def certify(
             emp = max(emp, err)
         certs.append(Certificate(
             float(delta), float(spec.a), float(spec.m_a), budget.h, budget.noise_term,
-            budget.bias_term, budget.total, emp, bool(emp <= budget.total * BOUND_TOL),
-        ))
+            budget.bias_term, budget.total, emp))
     return certs

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from regcert import (
 )
 from regcert import cli
 from regcert.cli import _seeded_truth_in_ball, make_truth, parse_deltas, resolve_config, run
-from regcert.errors import UsageError
+from regcert.errors import BOUND_TOL, UsageError
 from regcert.function_space import read_function_csv
 from regcert.seeding import rng_from
 from regcert.varreg import noise_at_radius
@@ -465,6 +466,37 @@ _CERTIFICATE_LAYOUT = (
 def test_cli_holds_no_certificate_layout():
     source = Path(cli.__file__).read_text()
     assert [text for text in _CERTIFICATE_LAYOUT if text in source] == []
+
+
+# Each certificate class with the field its verdict reads as the upper bound.
+BRACKETS = [(linreg.Certificate, "rate_bound"), (numdiff.Certificate, "total")]
+
+
+def _bracket(cls, upper_name, upper, lower):
+    """A cls certificate with every field 1.0 but its upper and lower bounds."""
+    values = {f.name: 1.0 for f in dataclasses.fields(cls)}
+    return cls(**{**values, upper_name: upper, "empirical_lower": lower})
+
+
+@pytest.mark.parametrize("cls, upper_name", BRACKETS, ids=["linear", "diff"])
+def test_verdict_is_read_from_the_bracket(cls, upper_name):
+    edge = 0.3 * BOUND_TOL
+    assert _bracket(cls, upper_name, 0.3, edge).passed is True
+    assert _bracket(cls, upper_name, 0.3, float(np.nextafter(edge, 1.0))).passed is False
+    # No verdict can be given that contradicts the numbers.
+    with pytest.raises(TypeError):
+        cls(**{f.name: 1.0 for f in dataclasses.fields(cls)}, passed=True)
+
+
+@pytest.mark.parametrize("cls, upper_name", BRACKETS, ids=["linear", "diff"])
+def test_failing_bracket_exits_two_with_pass_last(cls, upper_name, tmp_path):
+    out = tmp_path / "c.csv"
+    certs = [_bracket(cls, upper_name, 0.3, 0.2), _bracket(cls, upper_name, 0.3, 0.4)]
+    assert cli._write_certificates(certs, str(out)) == 2
+    header, rows = _rows(out)
+    assert header == [f.name for f in dataclasses.fields(cls)] + ["pass"]
+    assert [row[-1] for row in rows] == ["true", "false"]
+    assert cli._write_certificates(certs[:1], str(out)) == 0
 
 
 class TestThinAdapter:

@@ -696,10 +696,27 @@ class TestCertify:
                 out.append(linreg._prepare(tri, src, m @ y + e, delta, a, 3 + i, seed=i))
             return out
 
-        together = linreg._ascend(tri, src, searches(), 30)
-        alone = [linreg._ascend(tri, src, [x], 30)[0] for x in searches()]
+        together = linreg._ascend(tri, src, searches())
+        alone = [linreg._ascend(tri, src, [x])[0] for x in searches()]
         assert together == alone
-        assert linreg._ascend(tri, src, searches()[::-1], 30) == together[::-1]
+        assert linreg._ascend(tri, src, searches()[::-1]) == together[::-1]
+
+    @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 64),
+                                         ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4)],
+                             ids=["volterra", "rotated-diagonal"])
+    def test_worst_case_search_is_certifys_search(self, problem):
+        # certify's first trial, rebuilt from its seeds: c from a generator
+        # seeded by the trial generator's first draw, noise delta * u_{j*},
+        # f_delta = U (sigma * c) + e, and the next draw seeds the search.
+        src, delta, seed = SourceSpec(0.5, 1.0), 1e-3, 11
+        tri = spectral.factors(problem)
+        a = choose_a(delta, src)
+        rng = rng_from(seed, 0, 0)
+        c = linreg._boundary_coef(tri, src, rng_from(int(rng.integers(0, 2**63)), 0))
+        e = delta * tri.u[:, np.argmax(tri.sigma / (tri.s + a))]
+        f_delta = tri.u @ (tri.sigma * c) + e
+        got = worst_case_search(tri, src, f_delta, delta, a, seed=int(rng.integers(0, 2**63)))
+        assert got == certify(problem, src, [delta], trials=1, seed=seed)[0].empirical_lower
 
     def test_empirical_slope_tracks_rate(self):
         src = SourceSpec(0.5, 1.0)
