@@ -85,7 +85,7 @@ def parse_deltas(value) -> list[float]:
         start, stop = (positive_finite(float(x), "sweep endpoint", UsageError)
                        for x in parts[:2])
         num = count(int(parts[2][3:]), "sweep count", UsageError)
-        return [float(d) for d in np.logspace(np.log10(start), np.log10(stop), num)]
+        return [float(d) for d in np.geomspace(start, stop, num)]
     out = [float(tok) for tok in text.split(",") if tok.strip()]
     if not out:
         raise UsageError(f"empty delta list {text!r}")
@@ -210,33 +210,31 @@ def resolve_config(argv) -> RunConfig:
     if ns.config is not None:
         with open(ns.config) as fh:
             try:
-                loaded = json.load(fh)
+                file_cfg = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise UsageError(f"config file {ns.config} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(file_cfg, dict):
             raise UsageError(
                 f"config file {ns.config} must hold a JSON object, "
-                f"got {type(loaded).__name__}"
+                f"got {type(file_cfg).__name__}"
             )
-        file_cfg = {k.replace("-", "_"): v for k, v in loaded.items()}
-    keys = [opt.name.replace("-", "_") for opt in OPTIONS[ns.subcommand]]
-    unknown = sorted(set(file_cfg).difference(keys))
+    unknown = sorted(set(file_cfg).difference(opt.name for opt in OPTIONS[ns.subcommand]))
     if unknown:
         raise UsageError(f"unknown key(s) in config file {ns.config}: {', '.join(unknown)}")
     params = {}
-    for opt, key in zip(OPTIONS[ns.subcommand], keys):
-        raw = getattr(ns, key)
-        if raw is None and key in file_cfg:
-            raw = file_cfg[key]
+    for opt in OPTIONS[ns.subcommand]:
+        raw = getattr(ns, opt.name)
+        if raw is None and opt.name in file_cfg:
+            raw = file_cfg[opt.name]
         if raw is None:
             if opt.required:
                 raise UsageError(f"missing required key: {opt.name}")
             raw = opt.default
             if raw is None:
-                params[key] = None
+                params[opt.name] = None
                 continue
         try:
-            params[key] = opt.convert(raw)
+            params[opt.name] = opt.convert(raw)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {opt.name}: {exc}") from exc
     seed = params.pop("seed")

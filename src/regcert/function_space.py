@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GridMismatchError,
@@ -22,9 +21,6 @@ from .errors import (
 )
 from .errors import choice, positive_finite, within
 from .seeding import rng_from
-
-# Array elements per lag block of the fractional-exponent pair scan.
-_SCAN_BLOCK = 1 << 17
 
 NOISE_MODELS = ("exact-shift", "alternating", "spike", "smooth", "seeded-uniform")
 
@@ -126,9 +122,9 @@ def grid_derivative(u: SampledFunction) -> np.ndarray:
     return d
 
 
-def _leading(flags: np.ndarray) -> int:
-    """The number of True entries before the first False."""
-    return int(np.argmin(np.append(flags, False)))
+def _lag_quotient(w: np.ndarray, k: int, den: np.ndarray) -> float:
+    """max over node pairs at lag k of |w_{i+k} - w_i| / den[k - 1]."""
+    return float(np.max(np.abs(w[k:] - w[: len(w) - k])) / den[k - 1])
 
 
 def _pair_quotient(dx: float, w: np.ndarray, b: float) -> float:
@@ -140,17 +136,17 @@ def _pair_quotient(dx: float, w: np.ndarray, b: float) -> float:
     where the maximum sits by telescoping).
 
     For fractional b the pairs are taken lag by lag: every pair at lag k
-    shares the denominator (k dx)**b, so one array reduction per block of
-    lags gives each lag's largest difference.  Two bounds limit that
-    difference: osc, and k * step by telescoping.  So
+    shares the denominator (k dx)**b, so one array reduction gives the
+    lag's quotient.  Two bounds limit a lag's largest difference: osc, and
+    k * step by telescoping.  So
     B(k) = min(osc, k step) (1 + 1e-12) / (k dx)**b bounds every quotient at
     lag k; the margin covers the few roundings of a difference and of
     k * step.  B rises while k step < osc and falls after, so the lags with
     B(k) > best form one interval around its peak.  The scan seeds best with
-    the peak lag, then walks outward from it on each side, block by block,
-    and stops a side at its first lag with B(k) <= best: none beyond can
-    raise best.  Every lag scanned gives the same quotient as a scan of all
-    lags, so the maximum is the same float.
+    the peak lag, then walks outward from it on each side, one lag at a
+    time, raising best as it goes, and stops a side at its first lag with
+    B(k) <= best: none beyond can raise best.  Every lag scanned gives the
+    same quotient as a scan of all lags, so the maximum is the same float.
     """
     n = len(w)
     if b == 0.0:
@@ -163,36 +159,12 @@ def _pair_quotient(dx: float, w: np.ndarray, b: float) -> float:
     den = (k * dx) ** b
     bound = np.minimum(osc, k * step) * (1.0 + 1e-12) / den
     peak = int(np.argmax(bound)) + 1
-    best = float(np.max(np.abs(w[peak:] - w[: n - peak])) / den[peak - 1])
-    lags = max(1, min(n - 1, _SCAN_BLOCK // n))
-    # Row r of a block holds w shifted by lag lo + r; the NaN tail stands for
-    # the pairs that run off the grid, which fmax skips.
-    padded = np.concatenate((w, np.full(lags - 1, np.nan)))
-    buf = np.empty((lags, n - 1))
-
-    def scan(lo: int, hi: int) -> float:
-        """The largest quotient over lags lo <= k < hi, hi - lo <= lags."""
-        diffs = buf[: hi - lo, : n - lo]
-        np.subtract(sliding_window_view(padded[lo:], n - lo)[: hi - lo], w[: n - lo], out=diffs)
-        np.abs(diffs, out=diffs)
-        return float(np.max(np.fmax.reduce(diffs, axis=1) / den[lo - 1 : hi - 1]))
-
-    # Upward from the peak, then downward; a block that reaches a lag that
-    # cannot win ends just before it.
-    lo = peak + 1
-    while lo < n and bound[lo - 1] > best:
-        hi = min(lo + lags, n)
-        if not bound[hi - 2] > best:
-            hi = lo + _leading(bound[lo - 1 : hi - 1] > best)
-        best = max(best, scan(lo, hi))
-        lo = hi
-    hi = peak
-    while hi > 1 and bound[hi - 2] > best:
-        lo = max(1, hi - lags)
-        if not bound[lo - 1] > best:
-            lo = hi - _leading(bound[lo - 1 : hi - 1][::-1] > best)
-        best = max(best, scan(lo, hi))
-        hi = lo
+    best = _lag_quotient(w, peak, den)
+    for side in (range(peak + 1, n), range(peak - 1, 0, -1)):
+        for lag in side:
+            if not bound[lag - 1] > best:
+                break
+            best = max(best, _lag_quotient(w, lag, den))
     return best
 
 

@@ -542,7 +542,6 @@ def certify(
     trials: int,
     seed: int = 0,
     threads: int = 1,
-    restarts: int = RESTARTS,
 ) -> list[Certificate]:
     """Certificates over a noise sweep.
 
@@ -555,7 +554,7 @@ def certify(
     ||e|| <= delta (the first trial uses the most noise-amplified singular
     direction), with data f_delta = U (sigma * c) + e, which is A y + e;
     the recorded empirical lower bound is the max over trials of
-    worst_case_search's value from `restarts` starts.
+    worst_case_search's value from RESTARTS starts.
     Every task is drawn and prepared here first; the searches then run in
     blocks of whole searches, every restart of a block as one row of its
     arrays.  With `threads` > 1 the blocks are split into at most
@@ -568,7 +567,6 @@ def certify(
     _count(len(deltas), "number of deltas")
     _count(trials, "trials")
     _count(threads, "threads")
-    _count(restarts, "restarts")
     deltas = [float(d) for d in deltas]
     a_of = [choose_a(delta, source) for delta in deltas]
     tri = factors(problem)
@@ -587,7 +585,7 @@ def certify(
             e = delta * d / max(float(np.linalg.norm(d)), 1e-300)
         f_delta = tri.u @ (tri.sigma * c) + e
         return _prepare(
-            tri, source, f_delta, delta, a, restarts, seed=int(rng.integers(0, 2**63))
+            tri, source, f_delta, delta, a, RESTARTS, seed=int(rng.integers(0, 2**63))
         )
 
     def ascend(share: list[list[_Search]]) -> list[float]:
@@ -597,7 +595,7 @@ def certify(
     # runs before any worker starts; see the comment above _usable_cpus.
     items = [one_trial(di, ti) for di in range(len(deltas)) for ti in range(trials)]
     searches = [x for x in items if isinstance(x, _Search)]
-    per_block = max(1, _SEARCH_BLOCK // (restarts * tri.n))
+    per_block = max(1, _SEARCH_BLOCK // (RESTARTS * tri.n))
     blocks = [searches[i:i + per_block] for i in range(0, len(searches), per_block)]
     workers = min(threads, len(blocks), _usable_cpus())
     shares = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]

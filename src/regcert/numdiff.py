@@ -11,6 +11,7 @@ the same data, whose separation no method can resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -209,18 +210,13 @@ def _bump_samples(grid: Grid, center: float, width: float) -> np.ndarray:
     return out
 
 
-_BUMP_NORM_CONST: dict[float, float] = {}
-
-
+@cache
 def _bump_norm_constant(a: float) -> float:
-    """Norm of the unit bump at scale 1, estimated once on a dense grid."""
-    key = round(float(a), 12)
-    if key not in _BUMP_NORM_CONST:
-        ref = Grid(4097)
-        w_ref = 0.1
-        profile = SampledFunction(ref, _bump_samples(ref, 0.5, w_ref))
-        _BUMP_NORM_CONST[key] = holder_norm(profile, a) * w_ref**a
-    return _BUMP_NORM_CONST[key]
+    """Norm of the unit bump at scale 1, estimated once per a on a dense grid."""
+    ref = Grid(4097)
+    w_ref = 0.1
+    profile = SampledFunction(ref, _bump_samples(ref, 0.5, w_ref))
+    return holder_norm(profile, a) * w_ref**a
 
 
 def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> WitnessPair:

@@ -62,6 +62,11 @@ class TestParsing:
         got = parse_deltas("1e-5:1e-2:log4")
         np.testing.assert_allclose(got, [1e-5, 1e-4, 1e-3, 1e-2], rtol=1e-12)
 
+    def test_log_sweep_ends_are_exact(self):
+        assert parse_deltas("1e-5:1e-1:log9")[::8] == [1e-5, 1e-1]
+        assert parse_deltas("1e-2:1e-5:log4")[::3] == [1e-2, 1e-5]
+        assert parse_deltas("2e-7:0.5:log1") == [2e-7]
+
     def test_json_list(self):
         assert parse_deltas([0.01, 0.001]) == [0.01, 0.001]
 
@@ -181,6 +186,13 @@ class TestExitCodes:
             assert run([*base, "--config", str(path)]) == 1
             assert any(phrase in rec.message for rec in caplog.records)
 
+    def test_dashed_config_key_named_as_written(self, tmp_path):
+        path = tmp_path / "dashed.json"
+        path.write_text('{"bad-key": 1}')
+        with pytest.raises(UsageError, match=r"unknown key\(s\) in config file .*: bad-key$"):
+            resolve_config(["witness", "--n", "257", "--a", "2", "--m", "1",
+                            "--deltas", "1e-3", "--config", str(path)])
+
     def test_differentiate_non_uniform_input_exit_one(self, tmp_path, caplog):
         # The derivative assumes the uniform grid; nodes 0, 0.1, 0.2, 0.9 are
         # not Grid(4), so the file is refused, not differentiated.
@@ -238,8 +250,8 @@ class TestExitCodes:
             "0.0632459735576923,0.036735582317186544,true\n"
             "0.0001,2.0,1.0,0.010009765625,0.009990243902439026,0.010009765625,"
             "0.020000009527439026,0.011316364319016115,true\n"
-            "9.999999999999999e-06,2.0,1.0,0.003173828125,0.0031507692307692304,"
-            "0.003173828125,0.00632459735576923,0.003540770928379372,true\n"
+            "1e-05,2.0,1.0,0.003173828125,0.003150769230769231,"
+            "0.003173828125,0.006324597355769231,0.003540770928379372,true\n"
         )
         assert run(["certify-diff", "--n", "1025", "--a", "1.5", "--m", "1",
                     "--deltas", "1e-2:1e-5:log4", "--samples", "4", "--truth", "quadratic",
@@ -250,7 +262,7 @@ class TestExitCodes:
             "0.40716627201597044,0.14235341024236375,true\n"
             "0.001,1.5,1.0,0.015625,0.064,0.125,0.189,0.06333689361563372,true\n"
             "0.0001,1.5,1.0,0.00390625,0.0256,0.0625,0.0881,0.024925380332606707,true\n"
-            "9.999999999999999e-06,1.5,1.0,0.0009765625,0.010239999999999999,0.03125,"
+            "1e-05,1.5,1.0,0.0009765625,0.01024,0.03125,"
             "0.04149,0.010069673949438099,true\n"
         )
 
@@ -346,7 +358,7 @@ class TestExitCodes:
             "0.01,0.010424442674395573,0.02,0.022727928131437224,true\n"
             "0.001,0.001000998254208727,0.002,0.0021275164150334923,true\n"
             "0.0001,9.995688058739658e-05,0.0002,0.00022682693992555139,true\n"
-            "9.999999999999999e-06,9.99983381836927e-06,1.9999999999999998e-05,"
+            "1e-05,9.999833818369272e-06,2e-05,"
             "2.0824926144628408e-05,true\n"
         )
 

@@ -105,7 +105,6 @@ _COUNTS = {
     "certify trials=2.5": (lambda: _linear(trials=2.5), InvalidParameterError),
     "certify trials=nan": (lambda: _linear(trials=float("nan")), InvalidParameterError),
     "certify trials=True": (lambda: _linear(trials=True), InvalidParameterError),
-    "certify restarts=2.5": (lambda: _linear(restarts=2.5), InvalidParameterError),
     "certify threads=1.5": (lambda: _linear(threads=1.5), InvalidParameterError),
     "worst_case_search restarts=2.5": (
         lambda: worst_case_search(_TRI, _SOURCE, np.full(N, 0.1), 1e-2, 1e-2, restarts=2.5),

@@ -138,9 +138,9 @@ class TestHolderNorm:
         assert val == pytest.approx(5.0, rel=0.01)
 
     def test_matches_brute_force_pairs(self, rng):
-        # 1025 nodes take several lag blocks, so there the scan walks blocks
-        # both ways from its seed lag (x**2, sin 7x) and stops early on the
-        # bump, while on the ramp the seed lag alone decides.
+        # On 1025 nodes the scan walks lags both ways from its seed lag
+        # (x**2, sin 7x) and stops early on the bump, while on the ramp the
+        # seed lag alone decides.
         for n in (3, 4, 41, 65, 1025):
             g = Grid(n)
             x = g.nodes
@@ -205,16 +205,22 @@ class TestHolderNorm:
 
     def test_ramp_needs_only_the_seed_lag(self, monkeypatch):
         # The bound peaks at the last lag, whose quotient equals it up to the
-        # margin, so no block of lags is scanned.
+        # margin, so no other lag is scanned.
         from regcert import function_space
 
-        def no_blocks(*args, **kwargs):
-            raise AssertionError("a block of lags was scanned")
+        scanned = []
+        lag_quotient = function_space._lag_quotient
 
-        monkeypatch.setattr(function_space, "sliding_window_view", no_blocks)
+        def spy(w, lag, den):
+            scanned.append(lag)
+            return lag_quotient(w, lag, den)
+
+        monkeypatch.setattr(function_space, "_lag_quotient", spy)
         g = Grid(1025)
         for b in (0.01, 0.5, 0.99):
+            scanned.clear()
             assert _pair_quotient(g.dx, g.nodes, b) == 1.0
+            assert scanned == [g.n - 1]
 
     def test_every_pair_scanned_on_large_grids(self):
         # Grid(4099) lies above the 4097 nodes an earlier scan subsampled

@@ -490,20 +490,21 @@ class TestCertify:
         )
         assert c1 == c8
 
-    def test_thread_count_invariance_rotated(self):
+    def test_thread_count_invariance_rotated(self, monkeypatch):
         # Dense singular vectors mix every coordinate; 64 restarts put four
         # tasks in a block, so the 12 tasks run as three blocks across the pool.
+        monkeypatch.setattr(linreg, "RESTARTS", 64)
         args = (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), SourceSpec(0.5, 1.0),
                 [1e-1, 1e-2, 1e-3])
-        c1 = certify(*args, trials=4, restarts=64, seed=9)
-        c8 = certify(*args, trials=4, restarts=64, seed=9, threads=8)
+        c1 = certify(*args, trials=4, seed=9)
+        c8 = certify(*args, trials=4, seed=9, threads=8)
         assert c1 == c8
 
     # empirical_lower values pinned from the one-task-at-a-time search that
     # the row-wise blocks replaced; the secular root's closed-form start
     # moves them in the last bits only.  "one-per-block" holds a single task
-    # per block: restarts * n exceeds the block budget, pinned to the 2^13
-    # elements the case was written for.
+    # per block: its RESTARTS * n exceeds the block budget, pinned to the
+    # 2^13 elements the case was written for.
     PINNED = {
         "diagonal-24": (
             (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4],
@@ -522,7 +523,7 @@ class TestCertify:
         ),
         "one-per-block": (
             (ProblemSpec("volterra", 64), SourceSpec(0.75, 1.0), [1e-3, 1e-1],
-             dict(trials=3, seed=5, restarts=160)),
+             dict(trials=3, seed=5)),
             [0.01363577988282692, 0.1401956470486567],
         ),
     }
@@ -532,8 +533,9 @@ class TestCertify:
     def test_pinned_lower_bounds(self, case, threads, monkeypatch):
         (problem, src, deltas, kwargs), want = self.PINNED[case]
         if case == "one-per-block":
+            monkeypatch.setattr(linreg, "RESTARTS", 160)
             monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 1 << 13)
-            assert linreg._SEARCH_BLOCK // (kwargs["restarts"] * problem.n) == 0
+            assert linreg._SEARCH_BLOCK // (linreg.RESTARTS * problem.n) == 0
         certs = certify(problem, src, deltas, threads=threads, **kwargs)
         assert [c.empirical_lower for c in certs] == pytest.approx(want, rel=1e-12)
 
@@ -740,8 +742,6 @@ class TestCertify:
                 certify(spec, src, [1e-3], trials=1, threads=threads)
         tri = svd(np.eye(2))
         for restarts in (0, -3):
-            with pytest.raises(InvalidParameterError):
-                certify(spec, src, [1e-3], trials=1, restarts=restarts)
             with pytest.raises(InvalidParameterError):
                 worst_case_search(tri, src, np.zeros(2), 0.1, 0.1, restarts=restarts)
 
