@@ -158,8 +158,8 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
         Opt("trials", _int, default=16, help="seeded (y, noise) draws per delta"),
         Opt("threads", _int, default=1,
-            help="workers for the blocks of searches: forked processes where available, "
-                 "at most one per usable CPU; the CSV is the same for any count"),
+            help="workers for the blocks of searches: forked processes, at most one per "
+                 "usable CPU, or none where fork is missing; the CSV is the same for any count"),
         *_COMMON,
     ],
     "varmin": [
@@ -369,7 +369,7 @@ def _run_varmin(cfg: RunConfig) -> int:
     # minimize returns only feasible points, and m_hat is F at that point.
     _write_csv("delta,F_value,m_hat,feasible,iterations,restarts",
                [(p["delta"], report.F_value, report.F_value, True, report.iterations,
-                 report.restarts)], cfg.out)
+                 varreg.RESTARTS)], cfg.out)
     return 0
 
 

@@ -18,6 +18,7 @@ from .errors import (
     InvalidExponentError,
     InvalidGridError,
     InvalidModelError,
+    InvalidParameterError,
 )
 from .errors import choice, positive_finite, within
 from .seeding import rng_from
@@ -189,7 +190,13 @@ def holder_norm(u: SampledFunction, a: float) -> float:
 
 
 def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> NoisyData:
-    """Perturb f by a noise profile with sup-norm radius exactly delta.
+    """Perturb f by a noise profile with sup-norm radius just under delta.
+
+    Each profile below is scaled by 1 - 4 eps (||f||_inf + delta) / delta,
+    eps the float64 machine epsilon, so the rounding of f + e cannot lift
+    |(f + e) - f| above delta as computed: f is admissible for its own data
+    at every accepted delta.  A delta at or below the rounding of f, where
+    that factor is not positive, raises InvalidParameterError.
 
     Models:
       exact-shift     f + delta at every node
@@ -204,6 +211,11 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
     within(delta, 0, np.inf, "noise radius", ends="[)")
     if delta == 0.0:
         return NoisyData(SampledFunction(f.grid, f.values), 0.0)
+    sup_f = float(np.max(np.abs(f.values)))
+    shrink = 1.0 - 4.0 * np.finfo(float).eps * (sup_f + delta) / delta
+    if not shrink > 0.0:
+        raise InvalidParameterError(
+            f"noise radius {delta!r} is below the rounding of f (sup |f| = {sup_f:.3g})")
     n = f.grid.n
     if model == "exact-shift":
         e = np.full(n, delta)
@@ -221,7 +233,7 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
             e[0] = delta
         else:
             e *= delta / peak
-    return NoisyData(SampledFunction(f.grid, f.values + e), float(delta))
+    return NoisyData(SampledFunction(f.grid, f.values + shrink * e), float(delta))
 
 
 def read_function_csv(path) -> SampledFunction:

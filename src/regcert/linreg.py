@@ -12,6 +12,7 @@ over the admissible set on the other.
 from __future__ import annotations
 
 import os
+# ThreadPoolExecutor is not used here: the benchmark's tracer rebinds linreg's name.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -468,7 +469,7 @@ def worst_case_search(
     f_delta: np.ndarray,
     delta: float,
     a: float,
-    restarts: int = RESTARTS,
+    restarts: int | None = None,
     seed: int = 0,
 ) -> float:
     """Lower estimate of sup ||r - y|| over admissible y.
@@ -478,10 +479,11 @@ def worst_case_search(
     gradient ascent, with the restarts run together as the rows of one
     array (see _ascend); at n = 1 the feasible set is an interval and the
     distance to rho, convex along it, peaks at one of its ends, so the
-    result is exact there.  It is certify's search of one task.  Raises
+    result is exact there.  With ``restarts`` None it runs RESTARTS starts,
+    read at the call, so it is certify's search of one task.  Raises
     InfeasibleError when no y satisfies both constraints.
     """
-    _count(restarts, "restarts")
+    restarts = RESTARTS if restarts is None else _count(restarts, "restarts")
     search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
     if isinstance(search, float):
         return search
@@ -559,10 +561,11 @@ def certify(
     blocks of whole searches, every restart of a block as one row of its
     arrays.  With `threads` > 1 the blocks are split into at most
     min(threads, blocks, usable CPUs) contiguous shares: this process runs
-    the first and a forked worker process runs each other one (threads,
-    where os.fork is missing).  Results are identical for any thread count
-    and block size: every task is seeded independently, every row runs on
-    its own, and values are reduced in index order.
+    the first and a forked worker process runs each other one.  Where
+    os.fork is missing, this process runs every share.  Results are
+    identical for any thread count and block size: every task is seeded
+    independently, every row runs on its own, and values are reduced in
+    index order.
     """
     _count(len(deltas), "number of deltas")
     _count(trials, "trials")
@@ -600,13 +603,10 @@ def certify(
     workers = min(threads, len(blocks), _usable_cpus())
     shares = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
               for i in range(workers)]
-    if len(shares) <= 1:
-        found = [ascend(share) for share in shares]
-    elif hasattr(os, "fork"):
+    if len(shares) > 1 and hasattr(os, "fork"):
         found = _map_forked(ascend, shares)
     else:
-        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            found = list(pool.map(ascend, shares))
+        found = [ascend(share) for share in shares]
     found = iter([v for share in found for v in share])
     values = [x if isinstance(x, float) else next(found) for x in items]
 

@@ -11,7 +11,7 @@ delta -> 0 study tracks convergence of the minimizers to the truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .spectral import ProblemSpec, SvdTriple, apply, make_problem, svd
 from .spectral import _norms as _norm, _sqnorms
 
 NONLINEARITIES = ("identity", "cubic")
+
+# Starts per minimize call: the origin, the linearized start and seeded
+# points in the phi ball.
+RESTARTS = 32
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,6 @@ class MinimizeReport:
     v_delta: np.ndarray
     F_value: float
     iterations: int
-    restarts: int
 
 
 @dataclass(frozen=True)
@@ -201,32 +204,21 @@ def minimize(
     delta: float,
     budget: int = 200,
     seed: int = 0,
-    restarts: int = 32,
-    extra_starts: Optional[Sequence[np.ndarray]] = None,
 ) -> MinimizeReport:
     """Best feasible minimizer of F found by multi-start local descent.
 
     Starts: the origin, the linearized regularized solution
-    sigma^{-1}((B^T B + delta I)^{-1} B^T f_delta), any ``extra_starts``, and
-    seeded random points inside the phi ball, ``restarts`` starts in all, so
-    ``restarts`` must cover the origin, the linearized start and every extra
-    start.  Each start first descends the residual until it clears delta,
-    then descends F itself with radial projection back into the ball; steps
-    that break feasibility are repaired or rejected.  Both phases follow
-    closed-form gradients of their objective; ``budget`` caps the descent
-    iterations per phase and start.  The starts run as the rows of one array
+    sigma^{-1}((B^T B + delta I)^{-1} B^T f_delta) and seeded random points
+    inside the phi ball, RESTARTS starts in all, read at the call.  Each
+    start first descends the residual until it clears delta, then descends
+    F itself with radial projection back into the ball; steps that break
+    feasibility are repaired or rejected.  Both phases follow closed-form
+    gradients of their objective; ``budget`` caps the descent iterations
+    per phase and start.  The starts run as the rows of one array
     (see _descend), each exactly as it would alone.
     """
     positive_finite(delta, "delta")
     count(budget, "budget")
-    count(restarts, "restarts")
-    extra_starts = [] if extra_starts is None else [
-        vector(v, problem.n, "extra start") for v in extra_starts]
-    if restarts < 2 + len(extra_starts):
-        raise InvalidParameterError(
-            f"restarts must be >= {2 + len(extra_starts)} (the origin, the linearized "
-            f"start and {len(extra_starts)} extra starts), got {restarts}"
-        )
     f_delta = vector(f_delta, problem.n, "data vector")
     cap = problem.phi_cap
     n = problem.n
@@ -234,9 +226,8 @@ def minimize(
     starts: list[np.ndarray] = [np.zeros(n)]
     lin = _sigma_inverse(apply(problem.b_svd, f_delta, delta), problem.nonlinearity)
     starts.append(_project_cap(lin, cap))
-    starts.extend(_project_cap(v, cap) for v in extra_starts)
     rng = rng_from(seed)
-    while len(starts) < restarts:
+    while len(starts) < RESTARTS:
         d = rng.standard_normal(n)
         r = float(rng.uniform(0.0, 1.0)) ** (1.0 / n) * np.sqrt(cap)
         starts.append(r * d / max(float(np.linalg.norm(d)), 1e-300))
@@ -266,7 +257,6 @@ def minimize(
         v_delta=v[best],
         F_value=float(fv[best]),
         iterations=total_iters,
-        restarts=restarts,
     )
 
 

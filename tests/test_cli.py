@@ -22,6 +22,8 @@ from regcert import (
     make_nonlinear_problem,
     minimize,
     numdiff,
+    sup_distance,
+    varreg,
     witness_pair,
 )
 from regcert import cli
@@ -245,13 +247,13 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass\n"
             "0.01,2.0,1.0,0.10009765625,0.09990243902439025,0.10009765625,"
-            "0.20000009527439025,0.12359208279606418,true\n"
+            "0.20000009527439025,0.12359208279606358,true\n"
             "0.001,2.0,1.0,0.03173828125,0.031507692307692306,0.03173828125,"
-            "0.0632459735576923,0.036735582317186544,true\n"
+            "0.0632459735576923,0.03673558231718502,true\n"
             "0.0001,2.0,1.0,0.010009765625,0.009990243902439026,0.010009765625,"
-            "0.020000009527439026,0.011316364319016115,true\n"
+            "0.020000009527439026,0.011316364319011951,true\n"
             "1e-05,2.0,1.0,0.003173828125,0.003150769230769231,"
-            "0.003173828125,0.006324597355769231,0.003540770928379372,true\n"
+            "0.003173828125,0.006324597355769231,0.0035407709283662436,true\n"
         )
         assert run(["certify-diff", "--n", "1025", "--a", "1.5", "--m", "1",
                     "--deltas", "1e-2:1e-5:log4", "--samples", "4", "--truth", "quadratic",
@@ -259,12 +261,28 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass\n"
             "0.01,1.5,1.0,0.0732421875,0.13653333333333334,0.2706329386826371,"
-            "0.40716627201597044,0.14235341024236375,true\n"
-            "0.001,1.5,1.0,0.015625,0.064,0.125,0.189,0.06333689361563372,true\n"
-            "0.0001,1.5,1.0,0.00390625,0.0256,0.0625,0.0881,0.024925380332606707,true\n"
+            "0.40716627201597044,0.14235341024236295,true\n"
+            "0.001,1.5,1.0,0.015625,0.064,0.125,0.189,0.06333689361563016,true\n"
+            "0.0001,1.5,1.0,0.00390625,0.0256,0.0625,0.0881,0.02492538033259192,true\n"
             "1e-05,1.5,1.0,0.0009765625,0.01024,0.03125,"
-            "0.04149,0.010069673949438099,true\n"
+            "0.04149,0.010069673949378508,true\n"
         )
+
+    @pytest.mark.parametrize("n, a", [(1025, 1.5), (4097, 2.0), (257, 1.2)])
+    def test_certify_diff_tiny_delta_uses_the_truth(self, n, a, tmp_path):
+        # At delta = 1e-10 the truth stays admissible for its own data, so
+        # the lower bound is its distance to the regularized derivative.
+        out = tmp_path / "d.csv"
+        assert run(["certify-diff", "--n", str(n), "--a", str(a), "--m", "1",
+                    "--deltas", "1e-10", "--truth", "quadratic", "--seed", "1",
+                    "--out", str(out)]) == 0
+        spec = HolderSpec(a, 1.0)
+        truth = make_truth("quadratic", Grid(n), spec, 1)
+        f = integrate_volterra(truth)
+        want = max(sup_distance(differentiate(add_noise(f, 1e-10, model, 1), spec), truth)
+                   for model in ("alternating", "spike", "smooth", "seeded-uniform"))
+        _, rows = _rows(out)
+        assert float(rows[0][7]) == want
 
     def test_certify_linear_bytes(self, capsys):
         # TestThinAdapter's volterra argv, a rotated-diagonal argv whose two
@@ -631,7 +649,7 @@ class TestThinAdapter:
         assert header == ["delta", "F_value", "m_hat", "feasible", "iterations", "restarts"]
         assert len(rows) == 1
         _assert_cells(rows[0], [1e-3, report.F_value, report.F_value, True,
-                                report.iterations, report.restarts])
+                                report.iterations, varreg.RESTARTS])
 
     def test_study_rows_equal_module_output(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -69,14 +69,11 @@ def test_non_finite_vector_raises_parameter_error(name, x):
         _CALLS[name](x)
 
 
-# functional's v, alone or as a row of a stack, and one extra start of
-# minimize, each with x in its place.
+# functional's v, alone or as a row of a stack, with x in its place.
 _STARTS = {
     "functional v": lambda x: functional(_PROBLEM, x, np.zeros(N), 1e-2),
     "functional stacked v": lambda x: functional(
         _PROBLEM, np.stack([np.zeros(len(x)), x]), np.zeros(N), 1e-2),
-    "minimize extra start": lambda x: minimize(
-        _PROBLEM, np.full(N, 0.1), 1e-2, budget=5, extra_starts=[x]),
 }
 
 
@@ -115,9 +112,6 @@ _COUNTS = {
         lambda: numdiff.certify(_ZERO, _SPEC, [1e-2], ["spike"], 2.5), InvalidParameterError),
     "minimize budget=2.5": (
         lambda: minimize(_PROBLEM, np.full(N, 0.1), 1e-2, budget=2.5), InvalidParameterError),
-    "minimize restarts=2.5": (
-        lambda: minimize(_PROBLEM, np.full(N, 0.1), 1e-2, budget=5, restarts=2.5),
-        InvalidParameterError),
     "ProblemSpec n=4.5": (lambda: ProblemSpec("volterra", 4.5), InvalidMatrixError),
 }
 

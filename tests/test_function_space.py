@@ -20,6 +20,7 @@ from regcert.errors import (
     InvalidExponentError,
     InvalidGridError,
     InvalidModelError,
+    InvalidParameterError,
 )
 from regcert.function_space import (
     NOISE_MODELS,
@@ -274,6 +275,28 @@ class TestAddNoise:
         for model in ("alternating", "spike", "seeded-uniform"):
             data = add_noise(f, 1e-2, model, seed=5)
             assert sup_distance(data.f_delta, f) == pytest.approx(1e-2, rel=1e-15)
+
+    @pytest.mark.parametrize("n, a", [(257, 1.2), (513, 1.5), (1025, 1.5), (4097, 2.0)])
+    def test_truth_admissible_for_its_own_data(self, n, a):
+        # With no tolerance: the residual |(f + e) - f| as computed stays
+        # within delta, down to radii near the rounding of f.
+        g = Grid(n)
+        spec = HolderSpec(a, 1.0)
+        for truth in ("quadratic", "sin2pi", "trig"):
+            for seed in range(11):
+                u = make_truth(truth, g, spec, seed)
+                assert holder_norm(u, a) <= spec.m_a
+                f = integrate_volterra(u)
+                for delta in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+                    for model in NOISE_MODELS:
+                        data = add_noise(f, delta, model, seed)
+                        assert sup_distance(data.f_delta, f) <= delta
+
+    def test_radius_below_rounding_raises(self):
+        f = SampledFunction(Grid(11), np.ones(11))
+        for model in NOISE_MODELS:
+            with pytest.raises(InvalidParameterError, match="below the rounding"):
+                add_noise(f, 1e-16, model)
 
     def test_unknown_model(self):
         g = Grid(11)

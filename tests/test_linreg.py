@@ -678,7 +678,13 @@ class TestCertify:
         assert len(fan_out) == min(12, linreg._usable_cpus()) - 1
         assert certs == certify(*self.FAN_OUT, trials=6, seed=17)
 
-    def test_threads_where_fork_is_missing(self, fan_out, monkeypatch):
+    def test_serial_where_fork_is_missing(self, fan_out, monkeypatch):
+        # Threads serialize on the interpreter lock, so without fork this
+        # process runs every share and no thread pool starts.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("certify started a thread pool")
+
+        monkeypatch.setattr(linreg, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(linreg, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork")
         certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
@@ -703,13 +709,19 @@ class TestCertify:
         assert together == alone
         assert linreg._ascend(tri, src, searches()[::-1]) == together[::-1]
 
-    @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 64),
-                                         ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4)],
-                             ids=["volterra", "rotated-diagonal"])
-    def test_worst_case_search_is_certifys_search(self, problem):
+    @pytest.mark.parametrize("problem, restarts", [
+        (ProblemSpec("volterra", 64), 4),
+        (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), 4),
+        (ProblemSpec("volterra", 64), 16),
+        (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), 16),
+    ], ids=["volterra", "rotated-diagonal", "volterra-restarts16", "rotated-diagonal-restarts16"])
+    def test_worst_case_search_is_certifys_search(self, problem, restarts, monkeypatch):
         # certify's first trial, rebuilt from its seeds: c from a generator
         # seeded by the trial generator's first draw, noise delta * u_{j*},
         # f_delta = U (sigma * c) + e, and the next draw seeds the search.
+        # Both read RESTARTS when they run; on volterra 16 starts find more
+        # than 4.
+        monkeypatch.setattr(linreg, "RESTARTS", restarts)
         src, delta, seed = SourceSpec(0.5, 1.0), 1e-3, 11
         tri = spectral.factors(problem)
         a = choose_a(delta, src)

@@ -78,3 +78,17 @@ def test_public_names_resolve_to_their_home_module():
     assert set(regcert.__all__) <= set(dir(regcert))
     with pytest.raises(AttributeError):
         regcert.nope
+
+
+def test_every_module_loads_without_scipy():
+    # scipy is a test extra only; the conftest imports it, hence the fresh
+    # interpreter.
+    proc = _run(["-c", "import importlib, json, pkgutil, sys, regcert\n"
+                 "for m in pkgutil.iter_modules(regcert.__path__):\n"
+                 "    importlib.import_module('regcert.' + m.name)\n"
+                 "print(json.dumps(sorted(sys.modules)))"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    modules = {"regcert." + p.stem for p in (SRC / "regcert").glob("*.py")} - {"regcert.__init__"}
+    assert modules <= set(loaded)
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []

@@ -286,6 +286,17 @@ class TestDescend:
             w, fw, uw = _descend(prob, f, 1e-2, start[None], self.ITERS)
             assert (w[0].tobytes(), fw[0], uw[0]) == (v[i].tobytes(), fv[i], used[i])
 
+    @pytest.mark.parametrize("delta", [None, 1e-6, 1e-4, 1e-2])
+    def test_exact_data_solution_stays(self, delta):
+        # From the solution of exact data the residual is 0: ||r||^2 has a
+        # zero gradient there, and F's penalty step raises ||r|| faster than
+        # it lowers delta ||v||^2, so every line search fails.
+        prob = make_nonlinear_problem("diagonal", 3, "identity", phi_cap=1.0, q=1.0)
+        u = np.array([0.3, -0.2, 0.1])
+        v, _, used = _descend(prob, prob.forward(u), delta, u[None], 150)
+        assert v[0].tobytes() == u.tobytes()
+        assert used.tolist() == [1]
+
 
 class TestMinimize:
     def test_matches_2d_grid_oracle(self):
@@ -323,62 +334,43 @@ class TestMinimize:
             report = minimize(prob, f, delta, budget=200, seed=7)
             assert report.F_value <= 2.0 * c1_delta
 
-    def test_dominates_truth_start(self):
-        prob = make_nonlinear_problem("diagonal", 4, "cubic", phi_cap=4.0, q=1.0)
-        u = _truth(4, prob.phi_cap, seed=6)
-        rng = rng_from(32)
-        delta = 1e-3
-        e = rng.standard_normal(4)
-        e *= delta * (1 - 1e-12) / np.linalg.norm(e)
-        f = prob.forward(u) + e
-        report = minimize(prob, f, delta, budget=150, seed=7, extra_starts=[u])
-        assert report.F_value <= functional(prob, u, f, delta)
-
-    def test_zero_noise_truth_start_stays(self):
-        prob = make_nonlinear_problem("diagonal", 3, "identity", phi_cap=1.0, q=1.0)
-        u = np.array([0.3, -0.2, 0.1])
-        f = prob.forward(u)
-        report = minimize(prob, f, 1e-6, budget=150, seed=4, extra_starts=[u])
-        assert np.linalg.norm(report.v_delta - u) <= 1e-8
-
     # Outputs of the one-start-at-a-time descent, pinned: (matrix, n,
-    # nonlinearity, delta, data seed), minimize keywords, then F_value's repr,
-    # iterations and v_delta.  Only "phase-c-repair" runs phase C: two of its
-    # starts leave the admissible set in phase B.  No CLI example, no bench
+    # nonlinearity, delta, data seed), varreg.RESTARTS (None keeps the
+    # default), minimize keywords, then F_value's repr, iterations and
+    # v_delta.  Only "phase-c-repair" runs phase C: two of its starts leave
+    # the admissible set in phase B.  No CLI example, no bench
     # workload and no acceptance criterion reaches phase C.  "default-starts"
     # is pinned with B's singular triple taken from its rotation factors; a
     # dense SVD of the same B moves its F_value in the last two digits.
     PINNED = {
         "two-starts": (
-            ("rotated-diagonal", 4, "cubic", 1e-3, 3), dict(budget=60, seed=3, restarts=2),
+            ("rotated-diagonal", 4, "cubic", 1e-3, 3), 2, dict(budget=60, seed=3),
             "0.0010014827153995588", 240,
             [0.9261214167776374, 0.18687504198154364, 0.25189171708223423, -0.2126882392125949]),
         "default-starts": (
-            ("rotated-diagonal", 6, "cubic", 1e-3, 1), dict(budget=50, seed=1),
+            ("rotated-diagonal", 6, "cubic", 1e-3, 1), None, dict(budget=50, seed=1),
             "0.0010065745854940871", 1650,
             [0.0649239774235416, 0.6235150065014602, 0.7026408281843088,
              0.05717633943147415, -0.1613787858956109, 0.29455097632244204]),
-        "extra-start": (
-            ("diagonal", 3, "cubic", 1e-6, 2), dict(budget=150, seed=4, restarts=3),
-            "9.999981657591535e-07", 86,
-            [-0.1320070092932964, -0.4720603912259941, 0.8716256650656773]),
         "identity": (
-            ("rotated-diagonal", 2, "identity", 1e-2, 5), dict(budget=80, seed=5, restarts=8),
+            ("rotated-diagonal", 2, "identity", 1e-2, 5), 8, dict(budget=80, seed=5),
             "0.009963235677651248", 393,
             [-0.8268972964527502, 0.5590746183508525]),
         "phase-c-repair": (
-            ("diagonal", 4, "cubic", 0.3, 0), dict(budget=40, seed=0, restarts=8),
+            ("diagonal", 4, "cubic", 0.3, 0), 8, dict(budget=40, seed=0),
             "0.6105480190890733", 720,
             [0.3310774278888498, -0.11734325448412244, -0.6469103842354027, -0.8891258412205263]),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_pinned_outputs(self, name, monkeypatch):
-        (kind, n, nonlinearity, delta, seed), kwargs, f_repr, iterations, v_delta = self.PINNED[name]
+        ((kind, n, nonlinearity, delta, seed), restarts, kwargs, f_repr, iterations,
+         v_delta) = self.PINNED[name]
         prob = make_nonlinear_problem(kind, n, nonlinearity, phi_cap=4.0, seed=seed)
         u = _seeded_truth_in_ball(n, prob.phi_cap, seed)
         f = prob.forward(u) + noise_at_radius(rng_from(seed, 137), n, delta)
-        extra = [u] if name == "extra-start" else None
+        if restarts is not None:
+            monkeypatch.setattr(varreg, "RESTARTS", restarts)
         objectives = []
 
         def spy(problem, f_delta, delta_or_none, v, iters):
@@ -386,7 +378,7 @@ class TestMinimize:
             return _descend(problem, f_delta, delta_or_none, v, iters)
 
         monkeypatch.setattr(varreg, "_descend", spy)
-        report = minimize(prob, f, delta, extra_starts=extra, **kwargs)
+        report = minimize(prob, f, delta, **kwargs)
         assert (repr(report.F_value), report.iterations) == (f_repr, iterations)
         assert report.v_delta.tolist() == v_delta
         # Phases A and B, and the C repair where a row drifted out in B.
@@ -406,16 +398,6 @@ class TestMinimize:
                 functional(prob, np.zeros(2), np.zeros(2), delta)
         with pytest.raises(InvalidParameterError):
             minimize(prob, np.zeros(2), 0.1, budget=0, seed=0)
-        # restarts counts the origin, the linearized start and every extra
-        # start; fewer would drop starts the caller asked for.
-        for restarts, extra in ((0, None), (1, None), (2, [np.zeros(2)]),
-                                (3, [np.zeros(2), np.ones(2)])):
-            with pytest.raises(InvalidParameterError):
-                minimize(prob, np.zeros(2), 0.1, budget=10, seed=0, restarts=restarts,
-                         extra_starts=extra)
-        report = minimize(prob, np.zeros(2), 0.1, budget=10, seed=0, restarts=3,
-                          extra_starts=[np.zeros(2)])
-        assert report.restarts == 3
         for cap in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
                 NonlinearProblem(b=np.eye(2), nonlinearity="identity", phi_cap=cap)
@@ -436,16 +418,6 @@ class TestConvergenceStudy:
         for e_prev, e_next in zip(errors, errors[1:]):
             assert e_next <= 1.2 * e_prev
         assert errors[-1] <= 0.01
-
-    def test_zero_noise_errors_at_solver_tolerance(self):
-        # Exact data at every delta with the truth offered as a start: the
-        # reconstruction error stays at solver tolerance.
-        prob = make_nonlinear_problem("diagonal", 3, "identity", phi_cap=1.0, q=1.0)
-        u = np.array([0.3, -0.2, 0.1])
-        f = prob.forward(u)
-        for delta in (1e-2, 1e-4, 1e-6):
-            report = minimize(prob, f, delta, budget=150, seed=4, extra_starts=[u])
-            assert np.linalg.norm(report.v_delta - u) <= 1e-6
 
     def test_identity_matches_linear_filter(self):
         # Penalized stationarity (B^T B + 2 delta ||r|| I) v = B^T f is the
