@@ -63,7 +63,7 @@ class ResolutionError(RegcertError):
 
 
 class EmptyAdmissibleSetError(RegcertError):
-    """No sampled candidate passed the admissibility test."""
+    """No candidate passed the admissibility test."""
 
 
 class InvalidSourceError(RegcertError):

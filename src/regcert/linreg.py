@@ -450,13 +450,15 @@ def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search]) -> 
     z = project(z, np.arange(len(z)), 30, 1e-12)
     # Soundness: only count a point if it is feasible (shrink toward the
     # strictly feasible anchor when projections left round-off violations).
-    t = np.ones(len(z))
+    # Round k puts a row at 2^-k of its projected displacement from the anchor.
     live = np.flatnonzero(~_feasible(z, c, k_sq, sigma, g, delta_sq))
-    while live.size:
-        t[live] *= 0.5
-        z[live] = anchor[live] + t[live, None] * (z[live] - anchor[live])
+    reach = z[live] - anchor[live]
+    t = 1.0
+    while live.size and t > 1e-6:
+        t *= 0.5
+        z[live] = anchor[live] + t * reach
         ok = _feasible(z[live], c, k_sq, sigma, g[live], delta_sq[live])
-        live = live[~ok & (t[live] > 1e-6)]
+        live, reach = live[~ok], reach[~ok]
     ok = _feasible(z, c, k_sq, sigma, g, delta_sq)
     values = _objective(z, rho)
     return [max([0.0, *(float(v) for v in values[(owner == i) & ok])])

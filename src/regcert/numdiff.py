@@ -4,8 +4,10 @@ The regularizer is a three-branch difference quotient with step h chosen from
 the noise radius and the a-priori smoothness class alone.  Its worst-case
 error over every admissible solution (residual within delta, class norm
 within m_a) is bracketed from above by an explicit noise + bias budget and
-from below by adversarial bump witnesses: two admissible solutions sharing
-the same data, whose separation no method can resolve.
+from below by admissible solutions: ``certify`` measures the distance to a
+synthetic truth that passes the admissibility gate for its own data, and
+adversarial bump witnesses are two admissible solutions sharing the same
+data, whose separation no method can resolve.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class WitnessPair:
 @dataclass(frozen=True)
 class Certificate(Bracket):
     """Worst-case error bracket for one noise level: the budget total above,
-    the largest sampled error over admissible solutions below.
+    the distance to the admissible truth below.
 
     The fields are the columns of ``regcert certify-diff``'s CSV, in order:
     the class (a, M) and the budget's step and terms.
@@ -270,19 +272,7 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
 
 
 # ---------------------------------------------------------------------------
-# Sampled lower estimate of the worst-case error
-
-
-def _box_smooth(values: np.ndarray, half_width: int) -> np.ndarray:
-    """Repeated moving average; three passes give a C2-like discrete kernel."""
-    out = values.copy()
-    if half_width <= 0:
-        return out
-    window = 2 * half_width + 1
-    kernel = np.full(window, 1.0 / window)
-    for _ in range(3):
-        out = np.convolve(np.pad(out, half_width, mode="edge"), kernel, mode="valid")
-    return out
+# Lower bound from admissible solutions
 
 
 def member_candidates(
@@ -298,23 +288,9 @@ def member_candidates(
     leaves, so by the triangle inequality each one stays admissible; they are
     not tested here, because ``empirical_sup_error`` tests every candidate
     before it counts.  Returns [] for an inadmissible base and [base] when it
-    leaves no slack.  ``empirical_sup_error``'s generated pool is built from
-    these candidates around each admissible base.  ``certify`` does not call
-    it: around a synthetic truth the only slack is the ~1e-9 delta that
-    ``BOUND_TOL`` allows.
+    leaves no slack.
     """
-    return _member_candidates(base, membership(base, data, spec), data, spec, n_samples, seed)
-
-
-def _member_candidates(
-    base: SampledFunction,
-    got: Membership,
-    data: NoisyData,
-    spec: HolderSpec,
-    n_samples: int,
-    seed: int,
-) -> list[SampledFunction]:
-    """member_candidates for a base whose membership ``got`` is known."""
+    got = membership(base, data, spec)
     if not got.ok:
         return []
     grid = base.grid
@@ -340,40 +316,23 @@ def _member_candidates(
 def empirical_sup_error(
     data: NoisyData,
     spec: HolderSpec,
-    n_samples: int,
-    seed: int = 0,
-    candidates: Optional[Sequence[SampledFunction]] = None,
+    candidates: Sequence[SampledFunction],
     boundary: str = "sound",
 ) -> float:
-    """Largest observed distance from the regularized derivative to an
-    admissible solution.
+    """Largest distance from the regularized derivative to an admissible
+    candidate.
 
-    ``candidates`` is the pool when given.  Otherwise the pool is generated:
-    the ``member_candidates`` of each admissible base (the regularizer output,
-    smoothed copies of it, and the zero function), whose seeded bumps fill
-    the residual and norm slack the base leaves; around zero data this
-    reproduces the witness-pair candidates.  Either pool meets the one gate
-    of the lower bound: a candidate counts only if it passes ``membership``.
-    The result is a lower estimate of the true supremum over the admissible
-    set.  ``boundary`` selects the stencil of ``differentiate``.
+    This is the one gate of the lower bound: a candidate counts only if it
+    passes ``membership``, and a pool in which none does raises
+    ``EmptyAdmissibleSetError``.  The result is a lower estimate of the true
+    supremum over the admissible set.  ``boundary`` selects the stencil of
+    ``differentiate``.
     """
-    count(n_samples, "n_samples")
     r_out = differentiate(data, spec, boundary)
-    if candidates is None:
-        grid = data.f_delta.grid
-        m, _ = _snapped_step(data.delta, spec, grid)
-        bases = [SampledFunction(grid, np.zeros(grid.n))]
-        for half in (0, m, 2 * m, 4 * m, 8 * m):
-            bases.append(SampledFunction(grid, _box_smooth(r_out.values, half)))
-        tested = [(b, membership(b, data, spec)) for b in bases]
-        tested = [(b, got) for b, got in tested if got.ok]
-        per_base = max(1, n_samples // max(len(tested), 1))
-        candidates = [v for bi, (base, got) in enumerate(tested) for v in
-                      _member_candidates(base, got, data, spec, per_base, seed + 7919 * bi)]
     accepted = [v for v in candidates if membership(v, data, spec).ok]
     if not accepted:
         raise EmptyAdmissibleSetError(
-            "no sampled candidate passed admissibility; data, noise radius and "
+            "no candidate passed admissibility; data, noise radius and "
             "class bound look mutually inconsistent"
         )
     return max(sup_distance(r_out, v) for v in accepted)
@@ -384,45 +343,31 @@ def certify(
     spec: HolderSpec,
     deltas: Sequence[float],
     models: Sequence[str],
-    samples: int,
     seed: int = 0,
     boundary: str = "sound",
 ) -> list[Certificate]:
     """Certificates over a noise sweep for data synthesized from ``truth``.
 
     Per delta and noise model: data = integral of truth plus the model's
-    noise at radius delta, and one ``membership`` call on the truth.  A truth
-    that passes is admissible for its own data, and the cell's error is the
-    sup distance from the regularized derivative to it.  Only a truth that
-    fails falls back to empirical_sup_error's generated pool, whose
-    ``samples`` bump candidates are shared among its bases and seeded by
-    (seed, delta index, model index).  The certificate's
-    lower bound is the max over models, and its upper bound the budget
-    total.  Every count, model, stencil and delta (through its budget)
-    is checked before any norm is computed.
+    noise at radius delta.  The truth is an admissible solution for its own
+    data, so the cell's error is ``empirical_sup_error`` over [truth]: the
+    sup distance from the regularized derivative to it.  A truth outside the
+    class raises ``EmptyAdmissibleSetError``.  The certificate's lower bound
+    is the max over models, and its upper bound the budget total.  Every
+    count, model, stencil and delta (through its budget) is checked before
+    any norm is computed.
     """
     count(len(deltas), "number of deltas")
     count(len(models), "number of noise models")
-    count(samples, "samples")
     for model in models:
         choice(model, NOISE_MODELS, "noise model", InvalidModelError)
     choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
     budgets = [error_budget(delta, spec, truth.grid) for delta in deltas]
     f = integrate_volterra(truth)
     certs = []
-    for di, (delta, budget) in enumerate(zip(deltas, budgets)):
-        emp = 0.0
-        for mi, model in enumerate(models):
-            data = add_noise(f, delta, model, seed)
-            # The synthetic truth is an admissible solution for its own data,
-            # so it alone anchors the lower bound; the generated pool is built
-            # only when the truth fails the gate.
-            if membership(truth, data, spec).ok:
-                err = sup_distance(differentiate(data, spec, boundary), truth)
-            else:
-                sub_seed = int(rng_from(seed, di, mi).integers(0, 2**63))
-                err = empirical_sup_error(data, spec, samples, seed=sub_seed, boundary=boundary)
-            emp = max(emp, err)
+    for delta, budget in zip(deltas, budgets):
+        emp = max(empirical_sup_error(add_noise(f, delta, model, seed), spec, [truth], boundary)
+                  for model in models)
         certs.append(Certificate(
             float(delta), float(spec.a), float(spec.m_a), budget.h, budget.noise_term,
             budget.bias_term, budget.total, emp))

@@ -624,7 +624,7 @@ class TestThinAdapter:
                     "--boundary", boundary, "--out", str(out)])
         spec = HolderSpec(2.0, 1.0)
         truth = make_truth("quadratic", Grid(4097), spec, 2)
-        certs = numdiff.certify(truth, spec, [1e-3, 1e-4], ["alternating", "spike"], 3,
+        certs = numdiff.certify(truth, spec, [1e-3, 1e-4], ["alternating", "spike"],
                                 seed=2, boundary=boundary)
         assert code == (0 if all(c.passed for c in certs) else 2)
         header, rows = _rows(out)

@@ -108,8 +108,6 @@ _COUNTS = {
         InvalidParameterError),
     "sample_source_set count=1.5": (
         lambda: sample_source_set(_TRI, _SOURCE, 1.5), InvalidParameterError),
-    "numdiff.certify samples=2.5": (
-        lambda: numdiff.certify(_ZERO, _SPEC, [1e-2], ["spike"], 2.5), InvalidParameterError),
     "minimize budget=2.5": (
         lambda: minimize(_PROBLEM, np.full(N, 0.1), 1e-2, budget=2.5), InvalidParameterError),
     "ProblemSpec n=4.5": (lambda: ProblemSpec("volterra", 4.5), InvalidMatrixError),
@@ -186,7 +184,7 @@ def test_diff_certify_checks_every_delta_before_any_membership(monkeypatch):
     truth = SampledFunction(grid, 0.1 * grid.nodes**2)
     models = ["alternating", "spike", "smooth", "seeded-uniform"]
     with pytest.raises(InvalidParameterError, match="got nan"):
-        numdiff.certify(truth, _SPEC, [1e-2, np.nan], models, 4)
+        numdiff.certify(truth, _SPEC, [1e-2, np.nan], models)
     assert calls == []
 
 

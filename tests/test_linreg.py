@@ -308,6 +308,40 @@ class TestWorstCaseSearch:
         j2 = bias_sup(tri, src, a)
         assert got <= j1 + j2 + 1e-9
 
+    def test_soundness_shrink_halves_toward_anchor(self, monkeypatch):
+        # The soundness check is forced to reject row 1 after the final
+        # projection and after the first shrink round, so the shrink runs
+        # two rounds.  Round k puts the row at 2^-k of its projected
+        # displacement from the anchor: the counted point is
+        # anchor + (z - anchor) / 4, not the compounded / 8.
+        m, tri = make_problem(ProblemSpec("volterra", 16))
+        src = SourceSpec(0.5, 1.0)
+        y = sample_source_set(tri, src, 1, seed=0)[0]
+        delta = 1e-2
+        e = rng_from(5).standard_normal(16)
+        e *= delta / np.linalg.norm(e)
+        search = linreg._prepare(tri, src, m @ y + e, delta, choose_a(delta, src), 4, seed=1)
+        real, seen = linreg._feasible, []
+
+        def forced(z, *args, **kwargs):
+            ok = real(z, *args, **kwargs)
+            if kwargs:  # the projections' loose check, not the soundness gate
+                return ok
+            if not seen:
+                ok[1] = False
+            elif len(seen) == 1:
+                ok[:] = False
+            seen.append((z.copy(), ok))
+            return ok
+
+        monkeypatch.setattr(linreg, "_feasible", forced)
+        got = linreg._ascend(tri, src, [search])[0]
+        assert len(seen) == 4  # initial check, two rounds, final check
+        projected, (final, ok) = seen[0][0][1], seen[-1]
+        assert np.array_equal(final[1], search.anchor + 0.25 * (projected - search.anchor))
+        assert ok[1]
+        assert got >= linreg._objective(final[1:2], search.rho)[0]
+
 
 def _shrink_root_reference(r2, w, bound_sq):
     """One-row secular root by a doubling search and Newton on the sum itself:

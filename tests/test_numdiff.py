@@ -29,7 +29,6 @@ from regcert.errors import (
 )
 from regcert import cli
 from regcert.numdiff import certify
-from regcert.seeding import rng_from
 from conftest import scaled_truth
 
 
@@ -328,7 +327,7 @@ class TestEmpiricalSupError:
         spec = HolderSpec(2.0, 1.0)
         u = scaled_truth(g, spec, g.nodes**2)
         data = add_noise(integrate_volterra(u), 1e-3, "spike", seed=3)
-        got = empirical_sup_error(data, spec, 1, seed=0, candidates=[u])
+        got = empirical_sup_error(data, spec, [u])
         assert got == sup_distance(differentiate(data, spec), u)
 
     def test_gate_drops_inadmissible_candidate(self):
@@ -344,10 +343,10 @@ class TestEmpiricalSupError:
         r_out = differentiate(data, spec)
         assert sup_distance(r_out, shifted) > sup_distance(r_out, u)
         for pool in ([u, shifted], [shifted, u]):
-            got = empirical_sup_error(data, spec, 1, seed=0, candidates=pool)
+            got = empirical_sup_error(data, spec, pool)
             assert got == sup_distance(r_out, u)
         with pytest.raises(EmptyAdmissibleSetError):
-            empirical_sup_error(data, spec, 1, seed=0, candidates=[shifted])
+            empirical_sup_error(data, spec, [shifted])
 
     def test_boundary_threaded_through(self):
         g = Grid(513)
@@ -356,8 +355,7 @@ class TestEmpiricalSupError:
         data = add_noise(integrate_volterra(u), 1e-3, "alternating", seed=3)
         got = {}
         for boundary in ("sound", "paper"):
-            got[boundary] = empirical_sup_error(data, spec, 1, seed=0, candidates=[u],
-                                                boundary=boundary)
+            got[boundary] = empirical_sup_error(data, spec, [u], boundary=boundary)
             assert got[boundary] == sup_distance(differentiate(data, spec, boundary=boundary), u)
         assert got["sound"] != got["paper"]
 
@@ -366,7 +364,7 @@ class TestEmpiricalSupError:
         spec = HolderSpec(2.0, 1.0)
         wp = witness_pair(1e-4, spec, 0.5, g)
         data = NoisyData(wp.f_delta, 1e-4)
-        got = empirical_sup_error(data, spec, 2, seed=0, candidates=[wp.v_plus, wp.v_minus])
+        got = empirical_sup_error(data, spec, [wp.v_plus, wp.v_minus])
         assert got >= wp.separation / 2.0
 
     def test_below_certified_budget(self):
@@ -381,16 +379,8 @@ class TestEmpiricalSupError:
             for model in ("spike", "smooth", "exact-shift"):
                 data = add_noise(f, delta, model, seed=11)
                 pool = member_candidates(u, data, spec, 12, seed=5)
-                got = empirical_sup_error(data, spec, 12, seed=5, candidates=pool)
+                got = empirical_sup_error(data, spec, pool)
                 assert got <= budget.total
-
-    def test_auto_pool_with_slack(self):
-        g = Grid(513)
-        spec = HolderSpec(2.0, 5.0)
-        u = scaled_truth(g, HolderSpec(2.0, 2.0), g.nodes**2)
-        data = add_noise(integrate_volterra(u), 1e-2, "spike", seed=3)
-        got = empirical_sup_error(data, spec, 8, seed=0)
-        assert got <= error_budget(1e-2, spec, g).total
 
     def test_member_candidates_are_admissible(self):
         # A base with slack in both the residual and the norm: every bump
@@ -408,30 +398,16 @@ class TestEmpiricalSupError:
             assert membership(v, data, spec).ok
         assert len({sup_distance(u, v) for v in pool[1:]}) == 16
 
-    @pytest.mark.parametrize("samples, calls", [(4, 12), (8, 16), (16, 24)])
-    def test_generated_pool_membership_calls(self, monkeypatch, samples, calls):
-        # Six bases meet the base filter; the two admissible ones and their
-        # bumps meet the gate.  The filter's membership feeds the bumps' slack.
-        g = Grid(257)
-        spec = HolderSpec(1.5, 2.0)
-        u = scaled_truth(g, HolderSpec(1.5, 1.0), np.sin(2 * np.pi * g.nodes))
-        data = add_noise(integrate_volterra(u), 1e-3, "spike", seed=3)
-        made = []
-
-        def counted(v, data, spec):
-            made.append(v)
-            return membership(v, data, spec)
-
-        monkeypatch.setattr(numdiff, "membership", counted)
-        got = empirical_sup_error(data, spec, samples, seed=0)
-        assert len(made) == calls
-        assert got == 0.0441895330099037
-
     def test_empty_admissible_set(self):
+        # Data whose slope 5 no solution within the class bound 0.05 can
+        # reproduce: neither the zero function nor the regularized
+        # derivative is admissible.
         g = Grid(257)
+        spec = HolderSpec(2.0, 0.05)
         data = NoisyData(SampledFunction(g, 5.0 * g.nodes), 1e-6)
+        pool = [SampledFunction(g, np.zeros(g.n)), differentiate(data, spec)]
         with pytest.raises(EmptyAdmissibleSetError):
-            empirical_sup_error(data, HolderSpec(2.0, 0.05), 4, seed=0)
+            empirical_sup_error(data, spec, pool)
 
     def test_order_independence(self):
         g = Grid(513)
@@ -439,8 +415,8 @@ class TestEmpiricalSupError:
         u = scaled_truth(g, spec, g.nodes**2)
         data = add_noise(integrate_volterra(u), 1e-3, "smooth", seed=9)
         pool = member_candidates(u, data, spec, 8, seed=2)
-        a = empirical_sup_error(data, spec, 8, seed=2, candidates=pool)
-        b = empirical_sup_error(data, spec, 8, seed=2, candidates=list(reversed(pool)))
+        a = empirical_sup_error(data, spec, pool)
+        b = empirical_sup_error(data, spec, list(reversed(pool)))
         assert a == b
 
 
@@ -451,7 +427,7 @@ class TestCertify:
         spec = HolderSpec(2.0, 1.0)
         u = scaled_truth(g, spec, g.nodes**2)
         deltas = [1e-3, 1e-4]
-        certs = certify(u, spec, deltas, ["spike", "smooth"], 3, seed=4)
+        certs = certify(u, spec, deltas, ["spike", "smooth"], seed=4)
         assert [c.delta for c in certs] == deltas
         for c in certs:
             budget = error_budget(c.delta, spec, g)
@@ -460,12 +436,11 @@ class TestCertify:
             # The truth anchors every cell, so its error is a floor.
             assert c.empirical_lower > 0.0
             assert c.passed == (c.empirical_lower <= c.total * BOUND_TOL)
-        assert certify(u, spec, deltas, ["spike", "smooth"], 3, seed=4) == certs
+        assert certify(u, spec, deltas, ["spike", "smooth"], seed=4) == certs
 
     def test_one_membership_call_per_candidate(self, monkeypatch):
-        # Per (delta, model): one gate call on the truth, which passes; no
-        # pool is built around it, so empirical_sup_error (None here) is
-        # never called.
+        # Per (delta, model): one gate call, inside empirical_sup_error, on
+        # the truth alone.
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
         u = scaled_truth(g, spec, g.nodes**2)
@@ -477,29 +452,21 @@ class TestCertify:
             return real(v, data, spec)
 
         monkeypatch.setattr(numdiff, "membership", counting)
-        monkeypatch.setattr(numdiff, "empirical_sup_error", None)
-        samples, deltas, models = 5, [1e-3, 1e-4], ["spike", "smooth"]
-        certify(u, spec, deltas, models, samples, seed=2)
+        deltas, models = [1e-3, 1e-4], ["spike", "smooth"]
+        certify(u, spec, deltas, models, seed=2)
         assert len(calls) == len(deltas) * len(models)
         assert all(v is u for v in calls)
 
-    def test_inadmissible_truth_falls_back_to_generated_pool(self):
-        # A truth outside the class ball fails the gate, so each cell's lower
-        # bound is empirical_sup_error's generated pool at the cell's sub-seed.
+    def test_out_of_class_truth_raises(self):
+        # A truth outside the class ball fails the gate for its own data, so
+        # the cell has no admissible solution to measure.
         g = Grid(257)
         spec = HolderSpec(1.5, 1.0)
         u = scaled_truth(g, HolderSpec(1.5, 1.05), np.sin(2 * np.pi * g.nodes))
-        deltas, models, samples = [1e-2], ["spike", "smooth"], 4
-        f = integrate_volterra(u)
-        certs = certify(u, spec, deltas, models, samples, seed=3)
-        for di, (delta, cert) in enumerate(zip(deltas, certs)):
-            expected = []
-            for mi, model in enumerate(models):
-                data = add_noise(f, delta, model, 3)
-                assert not membership(u, data, spec).ok
-                sub_seed = int(rng_from(3, di, mi).integers(0, 2**63))
-                expected.append(empirical_sup_error(data, spec, samples, seed=sub_seed))
-            assert cert.empirical_lower == max(expected)
+        data = add_noise(integrate_volterra(u), 1e-2, "spike", 3)
+        assert not membership(u, data, spec).ok
+        with pytest.raises(EmptyAdmissibleSetError, match="no candidate passed admissibility"):
+            certify(u, spec, [1e-2], ["spike", "smooth"], seed=3)
 
     @pytest.mark.parametrize("argv", [
         ["--n", "4097", "--a", "2", "--m", "1", "--deltas", "1e-2:1e-5:log4",
@@ -530,8 +497,8 @@ class TestCertify:
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
         u = scaled_truth(g, spec, g.nodes**2)
-        both = certify(u, spec, [1e-3], ["spike", "smooth"], 2, seed=1)[0]
-        spike = certify(u, spec, [1e-3], ["spike"], 2, seed=1)[0]
+        both = certify(u, spec, [1e-3], ["spike", "smooth"], seed=1)[0]
+        spike = certify(u, spec, [1e-3], ["spike"], seed=1)[0]
         assert both.empirical_lower >= spike.empirical_lower
 
 
