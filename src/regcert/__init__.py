@@ -9,12 +9,11 @@ consistent with the data, not just one fixed truth.
 import os as _os
 import sys as _sys
 
-# Load OpenBLAS with one thread.  regcert's parallelism is certify's forked
-# workers, and its dense work stops at n ~ 1e3, so a BLAS pool only adds an
-# idle worker that spins after every threaded call (~0.1 s of CPU per short
-# CLI process on 2 cores).  OpenBLAS reads these variables once, when it
-# loads, so the one set here is removed again at once and no subprocess
-# inherits it.  A caller who set any of them, or loaded numpy first, keeps
+# Load OpenBLAS with one thread.  regcert's dense work stops at n ~ 1e3, so
+# a BLAS pool only adds an idle worker that spins after every threaded call
+# (~0.1 s of CPU per short CLI process on 2 cores).  OpenBLAS reads these
+# variables once, when it loads, so the one set here is removed again at
+# once and no subprocess inherits it.  A caller who set any of them, or loaded numpy first, keeps
 # their own pool.  numpy loads here in every case, so the pool is sized when
 # regcert is imported.
 _one_thread = "numpy" not in _sys.modules and not any(

@@ -158,10 +158,13 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("p", _float, required=True, help="source order in (0, 1)"),
         Opt("k", _float, required=True, help="source radius"),
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
-        Opt("trials", _int, default=16, help="seeded (y, noise) draws per delta"),
+        # Accepted and validated but unused: the lower bound is the closed-form
+        # worst case, which needs no trials and no workers, and the benchmark's
+        # workloads still pass both flags.
+        Opt("trials", _int, default=16,
+            help="unused; accepted, if an integer >= 1, for compatibility"),
         Opt("threads", _int, default=1,
-            help="workers for the blocks of searches: forked processes, at most one per "
-                 "usable CPU, or none where fork is missing; the CSV is the same for any count"),
+            help="unused; accepted, if an integer >= 1, for compatibility"),
         *_COMMON,
     ],
     "varmin": [
@@ -339,8 +342,9 @@ def _run_certify_linear(cfg: RunConfig) -> int:
     p = cfg.params
     problem = spectral.ProblemSpec(kind=p["problem"], n=p["n"], q=p["q"], seed=cfg.seed)
     source = linreg.SourceSpec(p=p["p"], k_p=p["k"])
-    certs = linreg.certify(problem, source, p["deltas"], p["trials"], seed=cfg.seed,
-                           threads=p["threads"])
+    count(p["trials"], "trials")
+    count(p["threads"], "threads")
+    certs = linreg.certify(problem, source, p["deltas"])
     return _write_certificates(certs, cfg.out)
 
 

@@ -4,14 +4,15 @@ The regularizer is the spectral filter (T + aI)^{-1} A^T with T = A^T A
 (``spectral.apply``), the smoothness class is the source set
 {y : sum s_i^{-2p} <y, v_i>^2 <= k_p^2}, and the parameter rule
 a(delta) = b_p delta^{2/(2p+1)} minimizes the closed form noise + bias bound.
-A certificate brackets the worst-case error: an analytic upper chain
-J1 + J2 <= C_p delta^{2p/(2p+1)} on one side, and a searched lower estimate
-over the admissible set on the other.
+A certificate brackets the worst-case error over the class: an analytic
+upper chain J1 + J2 <= C_p delta^{2p/(2p+1)} on one side, and on the other
+the class-wide worst case itself, in closed form, as the error of an explicit
+admissible witness (y, e) that is checked before it counts.  For given data,
+worst_case_search searches sup ||R f_delta - y|| over the admissible y.
 """
 
 from __future__ import annotations
 
-import os
 # ThreadPoolExecutor is not used here: the benchmark's tracer rebinds linreg's name.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BOUND_TOL, Bracket, DegenerateProblemError, InfeasibleError, InvalidSourceError
+from .errors import (BOUND_TOL, Bracket, DegenerateProblemError, InfeasibleError,
+                     InvalidSourceError, RegcertError)
 # count as _count: sample_source_set has a parameter named count.
 from .errors import count as _count, positive_finite, vector, within
 from .seeding import rng_from
@@ -30,7 +32,7 @@ from .spectral import ProblemSpec, SvdTriple, _filter, _norms, factors, make_pro
 # genuine component outside the source set.
 NULL_COEF_TOL = 1e-14
 
-# Starts per search, in certify and worst_case_search alike.
+# Starts per worst_case_search, read at the call.
 RESTARTS = 4
 
 
@@ -163,8 +165,62 @@ def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
     return float(source.k_p * np.max(a * s**source.p / (s + a)))
 
 
+def _worst_case(svd: SvdTriple, source: SourceSpec, delta: float, a: float):
+    """(error, z, eta): the class-wide worst case M* = sup ||R(A y + e) - y||
+    over the source set and ||e|| <= delta, as the error of the witness
+    y = V z, e = U eta (positive modes) that attains it.
+
+    With D1 = a s^p/(s + a), D2 = sigma/(s + a) and z = s^p w, the error is
+    -D1 w + D2 eta, so M* = max over unit u of k ||D1 u|| + delta ||D2 u||
+    (optimal recovery; Micchelli & Rivlin 1977).  In w = u^2 that is
+    sqrt(<A, w>) + sqrt(<B, w>), A = (k D1)^2 and B = (delta D2)^2, concave
+    and increasing on the hull of the points (A_i, B_i): its maximum lies on
+    an upper-right hull edge, at the edge's stationary weight clipped to
+    [0, 1].  The witness z = -(1 - 1e-13) s^p k D1 u/||D1 u||,
+    eta = (1 - 1e-13) delta D2 u/||D2 u|| counts only if sum s^-2p z^2 <= k^2
+    and ||eta|| <= delta hold as computed; otherwise RegcertError is raised.
+    """
+    pos = svd.sigma > 0.0
+    if not pos.any():
+        raise DegenerateProblemError("all singular values are zero")
+    sigma, s = svd.sigma[pos], svd.s[pos]
+    k, sp = source.k_p, s**source.p
+    d1 = a * sp / (s + a)
+    d2 = sigma / (s + a)
+    big_a, big_b = (k * d1) ** 2, (delta * d2) ** 2
+
+    # The staircase: by A falling (ties by B falling), each point whose B
+    # beats every B before it.  Every point lies on the curve
+    # s -> (A(s), B(s)), whose curvature keeps one sign for s > 0 (at
+    # p = 1/2 it is a ray, and the staircase one point), so the points are
+    # in convex position and neighbouring staircase points are the
+    # upper-right hull's edges.  Edge (i, j) at weight t on i, with
+    # dA = A_i - A_j < 0 < dB = B_i - B_j: sqrt(A_j + t dA) + sqrt(B_j + t dB)
+    # is stationary at the t below.  A one-point staircase is its own edge.
+    order = np.lexsort((-big_b, -big_a))
+    stair = order[big_b[order] > np.maximum.accumulate(np.r_[-1.0, big_b[order][:-1]])]
+    i, j = (stair[1:], stair[:-1]) if stair.size > 1 else (stair, stair)
+    da, db = big_a[i] - big_a[j], big_b[i] - big_b[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (db * db * big_a[j] - da * da * big_b[j]) / (da * db * (da - db))
+    t = np.clip(np.nan_to_num(t, nan=1.0), 0.0, 1.0)
+    best = int(np.argmax(np.sqrt(t * big_a[i] + (1.0 - t) * big_a[j])
+                         + np.sqrt(t * big_b[i] + (1.0 - t) * big_b[j])))
+    u = np.zeros(sigma.size)
+    u[j[best]] = np.sqrt(1.0 - t[best])
+    u[i[best]] = np.sqrt(t[best])
+
+    shrink = 1.0 - 1e-13
+    d1u, d2u = d1 * u, d2 * u
+    z = -shrink * sp * (k * d1u / np.linalg.norm(d1u))
+    eta = shrink * delta * d2u / np.linalg.norm(d2u)
+    if not (np.sum(s ** (-2.0 * source.p) * z * z) <= k * k and np.linalg.norm(eta) <= delta):
+        raise RegcertError("the closed-form worst-case witness failed its admissibility check")
+    return float(np.linalg.norm(d2 * (sigma * z + eta) - z)), z, eta
+
+
 # ---------------------------------------------------------------------------
-# Worst-case search over the admissible set
+# Worst-case search over the admissible set, for given data
 
 # In V-coordinates z = V^T y the two constraints are axis-aligned:
 #   source ellipsoid   sum c_i z_i^2 <= k^2          with c_i = s_i^-2p
@@ -172,23 +228,11 @@ def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
 # and the objective ||z - rho||, rho the filtered data, is maximized by
 # multi-start projected gradient ascent with Dykstra alternating projections.
 #
-# Every routine below acts on an (R, n) array of rows.  A row is one ascent:
-# one restart of one search, where a search is one f_delta (one certify task).
-# A row's result never depends on its neighbours: a row sum of a C-contiguous
-# array is the same pairwise sum whatever the other rows hold, a stacked
-# (1, n) @ (n, 1) matmul is one BLAS dot per row, and each loop drops a row
-# from its working arrays as soon as the row meets its own stopping test.
-# certify runs its searches in blocks of whole searches of about
-# _SEARCH_BLOCK elements each.  The inner loops already run at numpy's
-# per-element floor, so the block size only trades the fixed cost of each
-# numpy call against memory: a multiply costs about 0.9 ns per element at
-# 2^13 elements and 0.6 ns at 2^15 (2 cores).  At 2^14 the criterion-6
-# p = 0.5 slice takes 9.2-10.4 s against 11.6 s at 2^13, for 5% more peak
-# RSS on the linear-sweep benchmark; 2^15 (8.1-9.0 s) adds 15% to that RSS,
-# past the benchmark's 10% bound, and 2^16, whose arrays outgrow the cache,
-# is no faster (8.9-9.9 s) for 33% more.
-
-_SEARCH_BLOCK = 1 << 14
+# Every routine below acts on an (R, n) array of rows, one row per restart
+# of the search.  A row's result never depends on its neighbours: a row sum
+# of a C-contiguous array is the same pairwise sum whatever the other rows
+# hold, and each loop drops a row from its working arrays as soon as the row
+# meets its own stopping test.
 
 
 def _secular_start(r2: np.ndarray, w: np.ndarray, bound_sq: np.ndarray) -> np.ndarray:
@@ -394,46 +438,43 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
     return _Search(g, rho, anchor, delta_eff_sq, scale, np.array(starts[:restarts]), rng)
 
 
-def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search]) -> list[float]:
-    """Run every restart of every search as one row, at most 30 steps; each search's best value.
+def _ascend(svd: SvdTriple, source: SourceSpec, search: _Search) -> float:
+    """Run every restart of the search as one row, at most 30 steps; the best value.
 
     A row whose ascent direction vanishes (distance to rho below 1e-15 of
-    the scale) is redirected along a standard normal draw from its search's
+    the scale) is redirected along a standard normal draw from the search's
     generator; the rows that need one within a step draw in row order.
     """
     pos = svd.sigma > 0.0
     sigma, s = svd.sigma[pos], svd.s[pos]
     c = s ** (-2.0 * source.p)
     k_sq = source.k_p**2
-    owner = np.repeat(np.arange(len(searches)), [len(x.starts) for x in searches])
-    g = np.stack([x.g for x in searches])[owner]
-    rho = np.stack([x.rho for x in searches])[owner]
-    anchor = np.stack([x.anchor for x in searches])[owner]
-    delta_sq = np.array([x.delta_sq for x in searches])[owner]
-    scale = np.array([x.scale for x in searches])[owner]
-    z = np.concatenate([x.starts for x in searches])
+    rho, anchor, scale = search.rho, search.anchor, search.scale
+    z = search.starts.copy()
+    g = np.broadcast_to(search.g, z.shape)
+    delta_sq = np.full(len(z), search.delta_sq)
 
     # Loose projections steer the ascent cheaply; only the final point is
     # projected tightly and feasibility-checked before its value counts.
     def project(z, rows, sweeps, tol):
         return _project_intersection(z, c, k_sq, sigma, s, g[rows], delta_sq[rows], sweeps, tol)
 
-    # Every start but the anchor (each search's first row) is projected.
-    pushed = np.flatnonzero(np.r_[False, owner[1:] == owner[:-1]])
+    # Every start but the anchor (row 0) is projected.
+    pushed = np.arange(1, len(z))
     z[pushed] = project(z[pushed], pushed, 3, 1e-8)
 
     live = np.arange(len(z))
-    zl, rho_l, scale_l = z.copy(), rho, scale
-    val = _objective(zl, rho_l)
+    zl = z.copy()
+    val = _objective(zl, rho)
     step = np.full(len(z), 0.5)
     for _ in range(30):
-        d = zl - rho_l
+        d = zl - rho
         nd = _norms(d)
-        for i in np.flatnonzero(nd < 1e-15 * scale_l):
-            d[i] = searches[owner[live[i]]].rng.standard_normal(sigma.size)
+        for i in np.flatnonzero(nd < 1e-15 * scale):
+            d[i] = search.rng.standard_normal(sigma.size)
             nd[i] = np.linalg.norm(d[i])
-        cand = project(zl + ((step * scale_l) / nd)[:, None] * d, live, 3, 1e-8)
-        v = _objective(cand, rho_l)
+        cand = project(zl + ((step * scale) / nd)[:, None] * d, live, 3, 1e-8)
+        v = _objective(cand, rho)
         up = v > val * (1.0 + 1e-14)
         zl[up], val[up] = cand[up], v[up]
         step = np.where(up, step * 1.4, step * 0.4)
@@ -441,8 +482,7 @@ def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search]) -> 
         if done.any():
             z[live[done]] = zl[done]
             keep = ~done
-            live, zl, val, step, rho_l, scale_l = (
-                live[keep], zl[keep], val[keep], step[keep], rho_l[keep], scale_l[keep])
+            live, zl, val, step = live[keep], zl[keep], val[keep], step[keep]
             if not live.size:
                 break
     z[live] = zl
@@ -452,17 +492,15 @@ def _ascend(svd: SvdTriple, source: SourceSpec, searches: Sequence[_Search]) -> 
     # strictly feasible anchor when projections left round-off violations).
     # Round k puts a row at 2^-k of its projected displacement from the anchor.
     live = np.flatnonzero(~_feasible(z, c, k_sq, sigma, g, delta_sq))
-    reach = z[live] - anchor[live]
+    reach = z[live] - anchor
     t = 1.0
     while live.size and t > 1e-6:
         t *= 0.5
-        z[live] = anchor[live] + t * reach
+        z[live] = anchor + t * reach
         ok = _feasible(z[live], c, k_sq, sigma, g[live], delta_sq[live])
         live, reach = live[~ok], reach[~ok]
     ok = _feasible(z, c, k_sq, sigma, g, delta_sq)
-    values = _objective(z, rho)
-    return [max([0.0, *(float(v) for v in values[(owner == i) & ok])])
-            for i in range(len(searches))]
+    return max([0.0, *(float(v) for v in _objective(z, rho)[ok])])
 
 
 def worst_case_search(
@@ -482,95 +520,35 @@ def worst_case_search(
     array (see _ascend); at n = 1 the feasible set is an interval and the
     distance to rho, convex along it, peaks at one of its ends, so the
     result is exact there.  With ``restarts`` None it runs RESTARTS starts,
-    read at the call, so it is certify's search of one task.  Raises
+    read at the call.  The search is bounded above by the class-wide worst
+    case that ``certify`` reports as its lower bound.  Raises
     InfeasibleError when no y satisfies both constraints.
     """
     restarts = RESTARTS if restarts is None else _count(restarts, "restarts")
     search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
     if isinstance(search, float):
         return search
-    return _ascend(svd, source, [search])[0]
-
-
-# certify's workers.  A block's ascent is a Python loop over numpy calls on
-# ~2^14-element arrays, so threads serialize on the interpreter lock; worker
-# processes do not.  The workers are forked, so they start without a fresh
-# import and inherit the searches; only their values are sent back.  The
-# package loads OpenBLAS with one thread (see __init__.py), so by default no
-# process has a BLAS pool.  For callers who raise the BLAS thread count, the
-# parent makes every BLAS call before the first fork: an idle pool spins
-# after a threaded call, and a fork shuts the parent's pool down.  The
-# workers run only _ascend, whose products are single-threaded dots, so no
-# worker starts a pool of its own.
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _install(fn, parts: list) -> None:
-    """In a forked worker: keep the inherited fn and parts for _run_part."""
-    global _work
-    _work = fn, parts
-
-
-def _run_part(i: int):
-    """In a worker: fn(parts[i])."""
-    fn, parts = _work
-    return fn(parts[i])
-
-
-def _map_forked(fn, parts: list) -> list:
-    """[fn(part) for part in parts]: parts[0] here, each other in a forked worker.
-
-    A worker's exception is re-raised with its own type, the first in part
-    order; a worker that dies raises BrokenProcessPool, a RuntimeError.
-    Every worker is joined on every path: when this process raises, after
-    the running workers finish their parts.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(len(parts) - 1, multiprocessing.get_context("fork"),
-                             _install, (fn, parts)) as pool:
-        futures = [pool.submit(_run_part, i) for i in range(1, len(parts))]
-        return [fn(parts[0])] + [f.result() for f in futures]
+    return _ascend(svd, source, search)
 
 
 def certify(
     problem: ProblemSpec,
     source: SourceSpec,
     deltas: Sequence[float],
-    trials: int,
-    seed: int = 0,
+    *,
     threads: int = 1,
 ) -> list[Certificate]:
     """Certificates over a noise sweep.
 
     Every delta's a = choose_a(delta), which also checks delta, is worked
-    out before the factors are built.  Only U and sigma are built
-    (``factors``): the search and the bounds work in V-coordinates, so V
-    and the matrix A are never formed.  Per delta: `trials` seeded draws
-    of the V-coordinates c of a boundary source-set member y = V c (the
-    draws of ``sample_source_set``) and of a noise vector with
-    ||e|| <= delta (the first trial uses the most noise-amplified singular
-    direction), with data f_delta = U (sigma * c) + e, which is A y + e;
-    the recorded empirical lower bound is the max over trials of
-    worst_case_search's value from RESTARTS starts.
-    Every task is drawn and prepared here first; the searches then run in
-    blocks of whole searches, every restart of a block as one row of its
-    arrays.  With `threads` > 1 the blocks are split into at most
-    min(threads, blocks, usable CPUs) contiguous shares: this process runs
-    the first and a forked worker process runs each other one.  Where
-    os.fork is missing, this process runs every share.  Results are
-    identical for any thread count and block size: every task is seeded
-    independently, every row runs on its own, and values are reduced in
-    index order.
+    out before the factors are built (``factors``; only sigma is read).
+    empirical_lower is the class-wide worst case M* of ``_worst_case``,
+    the error of an admissible witness that attains it; J1_disc + J2_disc
+    bounds it by the triangle inequality.  ``threads`` must be an integer
+    >= 1 and is otherwise unused: nothing is searched, so the certificates
+    are the same for any count.
     """
     _count(len(deltas), "number of deltas")
-    _count(trials, "trials")
     _count(threads, "threads")
     deltas = [float(d) for d in deltas]
     a_of = [choose_a(delta, source) for delta in deltas]
@@ -578,60 +556,15 @@ def certify(
     pack = constants(source)
     p, k = source.p, source.k_p
 
-    def one_trial(di: int, ti: int) -> _Search | float:
-        delta, a = deltas[di], a_of[di]
-        rng = rng_from(seed, di, ti)
-        c = _boundary_coef(tri, source, rng_from(int(rng.integers(0, 2**63)), 0))
-        if ti == 0:
-            j_star = int(np.argmax(_filter(tri, a)))
-            e = delta * tri.u[:, j_star]
-        else:
-            d = rng.standard_normal(tri.n)
-            e = delta * d / max(float(np.linalg.norm(d)), 1e-300)
-        f_delta = tri.u @ (tri.sigma * c) + e
-        return _prepare(
-            tri, source, f_delta, delta, a, RESTARTS, seed=int(rng.integers(0, 2**63))
+    return [
+        Certificate(
+            delta=delta, a=a, p=float(p), k=float(k),
+            J1_cont=float(delta / (2.0 * np.sqrt(a))),
+            J2_cont=float(pack.c_p * k * a**p),
+            J1_disc=delta * operator_norm(tri, a),
+            J2_disc=bias_sup(tri, source, a),
+            rate_bound=float(pack.C_p * delta ** (2.0 * p / (2.0 * p + 1.0))),
+            empirical_lower=_worst_case(tri, source, delta, a)[0],
         )
-
-    def ascend(share: list[list[_Search]]) -> list[float]:
-        return [v for block in share for v in _ascend(tri, source, block)]
-
-    # Every BLAS call (factors, and the gemvs of one_trial and _prepare)
-    # runs before any worker starts; see the comment above _usable_cpus.
-    items = [one_trial(di, ti) for di in range(len(deltas)) for ti in range(trials)]
-    searches = [x for x in items if isinstance(x, _Search)]
-    per_block = max(1, _SEARCH_BLOCK // (RESTARTS * tri.n))
-    blocks = [searches[i:i + per_block] for i in range(0, len(searches), per_block)]
-    workers = min(threads, len(blocks), _usable_cpus())
-    shares = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
-              for i in range(workers)]
-    if len(shares) > 1 and hasattr(os, "fork"):
-        found = _map_forked(ascend, shares)
-    else:
-        found = [ascend(share) for share in shares]
-    found = iter([v for share in found for v in share])
-    values = [x if isinstance(x, float) else next(found) for x in items]
-
-    certs = []
-    for di, (delta, a) in enumerate(zip(deltas, a_of)):
-        emp = max(values[di * trials + ti] for ti in range(trials))
-        j1_cont = delta / (2.0 * np.sqrt(a))
-        j2_cont = pack.c_p * k * a**p
-        j1_disc = delta * operator_norm(tri, a)
-        j2_disc = bias_sup(tri, source, a)
-        rate = pack.C_p * delta ** (2.0 * p / (2.0 * p + 1.0))
-        certs.append(
-            Certificate(
-                delta=delta,
-                a=a,
-                p=float(p),
-                k=float(k),
-                J1_cont=float(j1_cont),
-                J2_cont=float(j2_cont),
-                J1_disc=float(j1_disc),
-                J2_disc=float(j2_disc),
-                rate_bound=float(rate),
-                empirical_lower=float(emp),
-            )
-        )
-    return certs
+        for delta, a in zip(deltas, a_of)
+    ]

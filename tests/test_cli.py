@@ -285,18 +285,18 @@ class TestExitCodes:
         assert float(rows[0][7]) == want
 
     def test_certify_linear_bytes(self, capsys):
-        # TestThinAdapter's volterra argv, a rotated-diagonal argv whose two
-        # blocks of searches run in two workers, and a diagonal argv with
-        # p and k away from their usual values, on stdout byte for byte.
+        # TestThinAdapter's volterra argv, a rotated-diagonal argv with
+        # --threads 2, and a diagonal argv with p and k away from their
+        # usual values, on stdout byte for byte.
         assert run(["certify-linear", "--problem", "volterra", "--n", "32", "--p", "0.5",
                     "--k", "1", "--deltas", "1e-2,1e-3", "--trials", "4", "--seed", "9"]) == 0
         assert capsys.readouterr().out == (
             "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
             "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.04976471048163167,"
-            "0.049764710481631655,0.1,0.0781542841730703,true\n"
+            "0.049764710481631655,0.1,0.09952942096325336,true\n"
             "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
             "0.015809865444111972,0.015809865444111972,0.03162277660168379,"
-            "0.024033685472935214,true\n"
+            "0.03161973088822079,true\n"
         )
         assert run(["certify-linear", "--problem", "rotated-diagonal", "--n", "256",
                     "--p", "0.5", "--k", "1", "--deltas", "1e-4:1e-1:log4", "--trials", "5",
@@ -304,15 +304,15 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
             "0.0001,9.999999999999998e-05,0.5,1.0,0.005000000000000001,0.005,"
-            "0.005000000000000001,0.004999999999999999,0.01,0.008005231924626639,true\n"
+            "0.005000000000000001,0.004999999999999999,0.01,0.009999999999999,true\n"
             "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
             "0.015810276679841896,0.015810276679841893,0.03162277660168379,"
-            "0.025199761523310552,true\n"
+            "0.031620553359680635,true\n"
             "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.05,"
-            "0.04999999999999999,0.1,0.08383221038619794,true\n"
+            "0.04999999999999999,0.1,0.09999999999998999,true\n"
             "0.1,0.09999999999999998,0.5,1.0,0.158113883008419,0.15811388300841897,"
             "0.15789473684210528,0.15789473684210525,0.31622776601683794,"
-            "0.2515857422670731,true\n"
+            "0.315789473684179,true\n"
         )
         assert run(["certify-linear", "--problem", "diagonal", "--n", "40", "--q", "1.5",
                     "--p", "0.25", "--k", "2", "--deltas", "1e-4:1e-1:log4", "--trials", "3",
@@ -321,16 +321,16 @@ class TestExitCodes:
             "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
             "0.0001,3.898690317617157e-06,0.25,2.0,0.02532273642408658,0.05064547284817318,"
             "0.0202464135156028,0.02510971777159043,0.07596820927225977,"
-            "0.027196727710981083,true\n"
+            "0.04535613128718867,true\n"
             "0.001,8.399473665965825e-05,0.25,2.0,0.05455618179858606,0.10911236359717218,"
             "0.054552962944511875,0.10911197659785024,0.16366854539575826,"
-            "0.10670470603200681,true\n"
+            "0.1587712023065783,true\n"
             "0.01,0.001809611744396605,0.25,2.0,0.11753773062255986,0.23507546124511983,"
             "0.11745220786432198,0.23503783580503781,0.35261319186767964,"
-            "0.29798967112518354,true\n"
+            "0.3416225850336824,true\n"
             "0.1,0.03898690317617155,0.25,2.0,0.25322736424086584,0.5064547284817318,"
             "0.25314406118671345,0.5047966104459581,0.7596820927225976,"
-            "0.6924615851926996,true\n"
+            "0.7336844402597712,true\n"
         )
 
     @pytest.mark.parametrize("sub,radius", [("varmin", ["--delta", "1e-3"]),
@@ -447,10 +447,7 @@ def test_bad_parameter_exit_one(case, capsys, caplog):
 
 
 class TestDeterminism:
-    def test_certify_linear_threads_byte_identical(self, tmp_path, monkeypatch):
-        # One task (4 restarts of 32 elements) per block: 12 blocks for the pool.
-        monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 4 * 32)
-        assert linreg._SEARCH_BLOCK // (4 * 32) == 1
+    def test_certify_linear_threads_byte_identical(self, tmp_path):
         base = ["certify-linear", "--problem", "volterra", "--n", "32", "--p", "0.5",
                 "--k", "1", "--deltas", "1e-2,1e-4", "--trials", "6", "--seed", "42"]
         paths = [tmp_path / name for name in ("t1.csv", "t8.csv", "t1b.csv")]
@@ -458,6 +455,16 @@ class TestDeterminism:
         assert run(base + ["--threads", "8", "--out", str(paths[1])]) == 0
         assert run(base + ["--threads", "1", "--out", str(paths[2])]) == 0
         assert _read(paths[0]) == _read(paths[1]) == _read(paths[2])
+
+    def test_certify_linear_trials_byte_identical(self, tmp_path):
+        # --trials is validated and otherwise unused: the lower bound is the
+        # closed-form worst case, not a search over trials.
+        base = ["certify-linear", "--problem", "rotated-diagonal", "--n", "48", "--p", "0.25",
+                "--k", "2", "--deltas", "1e-3,1e-1", "--seed", "7"]
+        paths = [tmp_path / name for name in ("n1.csv", "n64.csv")]
+        assert run(base + ["--trials", "1", "--out", str(paths[0])]) == 0
+        assert run(base + ["--trials", "64", "--out", str(paths[1])]) == 0
+        assert _read(paths[0]) == _read(paths[1])
 
     def test_witness_repeatable(self, tmp_path):
         base = ["witness", "--n", "1025", "--a", "2", "--m", "1",
@@ -537,7 +544,7 @@ class TestThinAdapter:
                     "--seed", "9", "--out", str(out)])
         assert code == 0
         certs = certify(ProblemSpec("volterra", 32, q=1.0, seed=9), SourceSpec(0.5, 1.0),
-                        [1e-2, 1e-3], 4, seed=9, threads=1)
+                        [1e-2, 1e-3])
         header, rows = _rows(out)
         assert header == ["delta", "a", "p", "k", "J1_cont", "J2_cont", "J1_disc", "J2_disc",
                           "rate_bound", "empirical_lower", "pass"]

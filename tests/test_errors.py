@@ -93,15 +93,12 @@ _ZERO = SampledFunction(_GRID, np.zeros(_GRID.n))
 _SPEC = HolderSpec(1.5, 1.0)
 
 
-def _linear(trials=2, **kw):
-    return linreg.certify(ProblemSpec("diagonal", N), _SOURCE, [1e-2], trials, **kw)
+def _linear(**kw):
+    return linreg.certify(ProblemSpec("diagonal", N), _SOURCE, [1e-2], **kw)
 
 
 # Each call with a count that is not an integer >= 1, and the class it raises.
 _COUNTS = {
-    "certify trials=2.5": (lambda: _linear(trials=2.5), InvalidParameterError),
-    "certify trials=nan": (lambda: _linear(trials=float("nan")), InvalidParameterError),
-    "certify trials=True": (lambda: _linear(trials=True), InvalidParameterError),
     "certify threads=1.5": (lambda: _linear(threads=1.5), InvalidParameterError),
     "worst_case_search restarts=2.5": (
         lambda: worst_case_search(_TRI, _SOURCE, np.full(N, 0.1), 1e-2, 1e-2, restarts=2.5),
@@ -174,7 +171,7 @@ def test_left_only_triple_raises_matrix_error(name):
 def test_linear_certify_checks_every_delta_before_factorizing(monkeypatch):
     calls = _recording(linreg, "factors", monkeypatch)
     with pytest.raises(InvalidParameterError, match="got nan"):
-        linreg.certify(ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-3, np.nan], 2)
+        linreg.certify(ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-3, np.nan])
     assert calls == []
 
 

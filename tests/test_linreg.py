@@ -1,5 +1,4 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -335,7 +334,7 @@ class TestWorstCaseSearch:
             return ok
 
         monkeypatch.setattr(linreg, "_feasible", forced)
-        got = linreg._ascend(tri, src, [search])[0]
+        got = linreg._ascend(tri, src, search)
         assert len(seen) == 4  # initial check, two rounds, final check
         projected, (final, ok) = seen[0][0][1], seen[-1]
         assert np.array_equal(final[1], search.anchor + 0.25 * (projected - search.anchor))
@@ -483,11 +482,91 @@ def test_row_norms_match_the_one_row_norm(rng):
         assert (d * d).sum(axis=1).tolist() == [float((row * row).sum()) for row in d]
 
 
+def _all_pairs_worst_case(tri, src, delta, a):
+    """max over unit u of k ||D1 u|| + delta ||D2 u||, scanning every pair of modes."""
+    pos = tri.sigma > 0.0
+    sigma, s = tri.sigma[pos], tri.s[pos]
+    big_a = (src.k_p * a * s**src.p / (s + a)) ** 2
+    big_b = (delta * sigma / (s + a)) ** 2
+    best = float(np.max(np.sqrt(big_a) + np.sqrt(big_b)))
+    for i in range(sigma.size - 1):
+        aj, bj = big_a[i + 1:], big_b[i + 1:]
+        da, db = big_a[i] - aj, big_b[i] - bj
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (db * db * aj - da * da * bj) / (da * db * (da - db))
+        # Same-signed differences have no interior maximum: the ends cover them.
+        t = np.clip(np.where(da * db < 0.0, t, 0.0), 0.0, 1.0)
+        value = np.sqrt(t * big_a[i] + (1 - t) * aj) + np.sqrt(t * big_b[i] + (1 - t) * bj)
+        best = max(best, float(value.max()))
+    return best
+
+
+# Gallery cells for the closed-form worst case: three kinds, three orders and
+# a delta sweep.
+_GALLERY = [ProblemSpec("volterra", 256), ProblemSpec("diagonal", 256, q=1.5),
+            ProblemSpec("rotated-diagonal", 256, q=1.0, seed=4)]
+_CELLS = [(p, float(delta)) for p in (0.25, 0.5, 0.75) for delta in np.logspace(-6, -1, 6)]
+
+
+class TestWorstCase:
+    def test_no_unit_vector_beats_it_at_n2(self, rng):
+        theta = np.linspace(0.0, 2.0 * np.pi, 200001)
+        u = np.stack([np.cos(theta), np.sin(theta)])
+        for _ in range(20):
+            sigma = np.sort(rng.uniform(0.05, 2.0, 2))[::-1]
+            tri = spectral.SvdTriple(u=np.eye(2), sigma=sigma, v=None)
+            src = SourceSpec(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.5, 5.0)))
+            delta = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.3))))
+            a = choose_a(delta, src)
+            d1 = (a * tri.s**src.p / (tri.s + a))[:, None]
+            d2 = (sigma / (tri.s + a))[:, None]
+            grid = src.k_p * np.linalg.norm(d1 * u, axis=0) + delta * np.linalg.norm(d2 * u, axis=0)
+            got = linreg._worst_case(tri, src, delta, a)[0]
+            assert grid.max() <= got * (1 + 1e-12)
+            assert grid.max() >= got * (1 - 1e-8)
+
+    @pytest.mark.parametrize("problem", _GALLERY, ids=lambda spec: spec.kind)
+    def test_hull_scan_equals_all_pairs(self, problem):
+        tri = spectral.factors(problem)
+        for p, delta in _CELLS:
+            src = SourceSpec(p, 1.0)
+            a = choose_a(delta, src)
+            want = _all_pairs_worst_case(tri, src, delta, a)
+            assert linreg._worst_case(tri, src, delta, a)[0] == pytest.approx(want, rel=1e-9)
+
+    def test_hull_scan_equals_all_pairs_on_random_spectra(self, rng):
+        # The scan takes neighbouring staircase points as the hull's edges,
+        # which holds because every mode lies on one curve of one-signed
+        # curvature: checked here on scattered spectra at any a, not only
+        # the a-priori one.
+        for _ in range(200):
+            sigma = np.sort(10.0 ** rng.uniform(-5, 0, 40))[::-1]
+            tri = spectral.SvdTriple(u=np.eye(40), sigma=sigma, v=None)
+            src = SourceSpec(float(rng.uniform(0.01, 0.99)), float(10.0 ** rng.uniform(-2, 2)))
+            delta, a = (float(x) for x in 10.0 ** rng.uniform([-8, -10], [0, 1]))
+            want = _all_pairs_worst_case(tri, src, delta, a)
+            assert linreg._worst_case(tri, src, delta, a)[0] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("problem", _GALLERY, ids=lambda spec: spec.kind)
+    def test_witness_is_admissible_and_attains_it(self, problem):
+        tri = spectral.factors(problem)
+        sigma, s = tri.sigma[tri.sigma > 0.0], tri.s[tri.sigma > 0.0]
+        for p, delta in _CELLS:
+            src = SourceSpec(p, 1.0)
+            a = choose_a(delta, src)
+            got, z, eta = linreg._worst_case(tri, src, delta, a)
+            # The strict checks, with no tolerance.
+            assert np.sum(s ** (-2 * p) * z * z) <= 1.0
+            assert np.linalg.norm(eta) <= delta
+            # The error of the witness: R(A y + e) - y in V coordinates.
+            assert got == float(np.linalg.norm(sigma / (s + a) * (sigma * z + eta) - z))
+            assert got == pytest.approx(_all_pairs_worst_case(tri, src, delta, a), rel=1e-9)
+            assert got <= delta * operator_norm(tri, a) + bias_sup(tri, src, a)
+
+
 class TestCertify:
     def test_chain_and_pass(self):
-        certs = certify(
-            ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4], trials=8, seed=3
-        )
+        certs = certify(ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4])
         pack = constants(SourceSpec(0.5, 1.0))
         for c in certs:
             assert c.passed
@@ -512,73 +591,46 @@ class TestCertify:
             assert bound(a_star) < bound(2 * a_star)
             assert bound(a_star) < bound(a_star / 2)
 
-    def test_thread_count_invariance(self, monkeypatch):
-        # A budget of one task (4 restarts of 24 elements) per block makes
-        # the 12 tasks twelve blocks, so the pool really splits the work.
-        monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 4 * 24)
-        assert linreg._SEARCH_BLOCK // (4 * 24) == 1
-        kwargs = dict(trials=6, seed=17)
-        c1 = certify(ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4], **kwargs)
-        c8 = certify(
-            ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4], threads=8, **kwargs
-        )
-        assert c1 == c8
+    def test_thread_count_invariance(self):
+        # threads is validated and otherwise unused.
+        args = (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4])
+        assert certify(*args) == certify(*args, threads=8)
 
-    def test_thread_count_invariance_rotated(self, monkeypatch):
-        # Dense singular vectors mix every coordinate; 64 restarts put four
-        # tasks in a block, so the 12 tasks run as three blocks across the pool.
-        monkeypatch.setattr(linreg, "RESTARTS", 64)
+    def test_thread_count_invariance_rotated(self):
         args = (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), SourceSpec(0.5, 1.0),
                 [1e-1, 1e-2, 1e-3])
-        c1 = certify(*args, trials=4, seed=9)
-        c8 = certify(*args, trials=4, seed=9, threads=8)
-        assert c1 == c8
+        assert certify(*args) == certify(*args, threads=8)
 
-    # empirical_lower values pinned from the one-task-at-a-time search that
-    # the row-wise blocks replaced; the secular root's closed-form start
-    # moves them in the last bits only.  "one-per-block" holds a single task
-    # per block: its RESTARTS * n exceeds the block budget, pinned to the
-    # 2^13 elements the case was written for.
+    # The closed-form worst case of each cell, captured exactly.  The label
+    # "one-per-block" is kept from an earlier pin of the same cell.
     PINNED = {
         "diagonal-24": (
-            (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4],
-             dict(trials=6, seed=17)),
-            [0.18671049181890476, 0.015064355508835316],
+            (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4]),
+            [0.21503716884771057, 0.021378832216403493],
         ),
-        # The delta = 1e-4 value was 0.008177411217103815 with LAPACK's
-        # singular vectors.  Its max comes from a trial >= 1, whose noise is
-        # drawn in the standard basis, so it moved (-0.41%) when the volterra
-        # triple took the closed form's sign convention; trial 0 does not see
-        # the signs (test_volterra_sign_convention_leaves_first_trial).
         "volterra-64": (
-            (ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4],
-             dict(trials=8, seed=42)),
-            [0.07628707782663376, 0.026188491717579705, 0.008143821549780448],
+            (ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4]),
+            [0.0995648198479679, 0.03159346176642433, 0.009997107890095246],
         ),
         "one-per-block": (
-            (ProblemSpec("volterra", 64), SourceSpec(0.75, 1.0), [1e-3, 1e-1],
-             dict(trials=3, seed=5)),
-            [0.01363577988282692, 0.1401956470486567],
+            (ProblemSpec("volterra", 64), SourceSpec(0.75, 1.0), [1e-3, 1e-1]),
+            [0.015812328802294433, 0.22796102328846918],
         ),
     }
 
     @pytest.mark.parametrize("threads", [1, 8])
     @pytest.mark.parametrize("case", sorted(PINNED))
-    def test_pinned_lower_bounds(self, case, threads, monkeypatch):
-        (problem, src, deltas, kwargs), want = self.PINNED[case]
-        if case == "one-per-block":
-            monkeypatch.setattr(linreg, "RESTARTS", 160)
-            monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 1 << 13)
-            assert linreg._SEARCH_BLOCK // (linreg.RESTARTS * problem.n) == 0
-        certs = certify(problem, src, deltas, threads=threads, **kwargs)
-        assert [c.empirical_lower for c in certs] == pytest.approx(want, rel=1e-12)
+    def test_pinned_lower_bounds(self, case, threads):
+        (problem, src, deltas), want = self.PINNED[case]
+        certs = certify(problem, src, deltas, threads=threads)
+        assert [c.empirical_lower for c in certs] == want
 
     def test_volterra_sign_convention_leaves_first_trial(self, monkeypatch):
-        # Trial 0 puts its noise along u_{j*} and draws its source member in
-        # V coordinates, so it does not see the singular vectors' signs: the
-        # closed-form volterra factors and LAPACK's give the same certificates.
+        # certify reads sigma alone, so the closed-form volterra factors and
+        # LAPACK's, whose singular vectors have other signs, give the same
+        # certificates up to the rounding of sigma.
         args = (ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4])
-        closed = certify(*args, trials=1, seed=42)
+        closed = certify(*args)
         dense_tri = svd(volterra_matrix(64))
         assert not np.all(dense_tri.u[1, :-1] > 0)  # LAPACK's signs differ
         built = []
@@ -588,10 +640,10 @@ class TestCertify:
             return spectral.SvdTriple(u=dense_tri.u, sigma=dense_tri.sigma, v=None)
 
         monkeypatch.setattr(linreg, "factors", lapack_factors)
-        dense = certify(*args, trials=1, seed=42)
+        dense = certify(*args)
         assert built == [args[0]]
         for c, d in zip(closed, dense):
-            names = [f.name for f in dataclasses.fields(c) if f.name != "passed"]
+            names = [f.name for f in dataclasses.fields(c)]
             assert [getattr(c, f) for f in names] == pytest.approx(
                 [getattr(d, f) for f in names], rel=1e-12)
             assert c.passed == d.passed
@@ -613,135 +665,8 @@ class TestCertify:
         for module, name in ((np.linalg, "qr"), (spectral, "make_problem"),
                              (linreg, "make_problem"), (spectral, "volterra_matrix")):
             monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
-        certify(problem, SourceSpec(0.5, 1.0), [1e-2, 1e-4], trials=2, seed=1)
+        certify(problem, SourceSpec(0.5, 1.0), [1e-2, 1e-4])
         assert built == (["qr"] if problem.kind == "rotated-diagonal" else [])
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 64),
-                                         ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4)],
-                             ids=["volterra", "rotated-diagonal"])
-    def test_block_size_invariance(self, problem, threads, monkeypatch):
-        # One task per block, the default budget, and every task in one block.
-        args = (problem, SourceSpec(0.5, 1.0), [1e-1, 1e-3])
-        kwargs = dict(trials=3, seed=8, threads=threads)
-        got = []
-        for budget in (1, linreg._SEARCH_BLOCK, 1 << 20):
-            monkeypatch.setattr(linreg, "_SEARCH_BLOCK", budget)
-            got.append(certify(*args, **kwargs))
-        assert got[0] == got[1] == got[2]
-
-    # Two deltas x six trials, one task (4 restarts of 24 elements) per block:
-    # twelve blocks for the workers to share.
-    FAN_OUT = (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4])
-
-    @pytest.fixture
-    def fan_out(self, monkeypatch):
-        """Twelve one-task blocks; returns the list each os.fork call appends to."""
-        monkeypatch.setattr(linreg, "_SEARCH_BLOCK", 4 * 24)
-        forks, fork = [], os.fork
-
-        def counted_fork():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return forks
-
-    def test_every_task_prepared_before_first_fork(self, fan_out, monkeypatch):
-        # The parent makes every BLAS call before it forks; a gemv in a
-        # child would restart OpenBLAS's spinning thread pool there.
-        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 3)
-        prepared, prepare = [], linreg._prepare
-
-        def recorded_prepare(svd, source, f_delta, delta, *args, **kwargs):
-            prepared.append(delta)
-            return prepare(svd, source, f_delta, delta, *args, **kwargs)
-
-        seen_at_fork, fork = [], os.fork
-
-        def recorded_fork():
-            seen_at_fork.append(list(prepared))
-            return fork()
-
-        monkeypatch.setattr(linreg, "_prepare", recorded_prepare)
-        monkeypatch.setattr(os, "fork", recorded_fork)
-        certify(*self.FAN_OUT, trials=6, seed=17, threads=3)
-        assert len(fan_out) == 2
-        assert sorted(seen_at_fork[0]) == [1e-4] * 6 + [1e-2] * 6
-
-    @pytest.mark.parametrize("where", ["child", "parent"])
-    def test_workers_reaped_and_errors_keep_their_type(self, fan_out, monkeypatch, where):
-        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 4)
-        certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
-        assert len(fan_out) == 3
-        assert certs == certify(*self.FAN_OUT, trials=6, seed=17)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-        parent, ascend = os.getpid(), linreg._ascend
-
-        def failing_ascend(*args):
-            if (os.getpid() == parent) == (where == "parent"):
-                raise InfeasibleError(f"{where} failed")
-            return ascend(*args)
-
-        monkeypatch.setattr(linreg, "_ascend", failing_ascend)
-        with pytest.raises(InfeasibleError, match=f"{where} failed"):
-            certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_dead_worker_raises_runtime_error_and_is_reaped(self, fan_out, monkeypatch):
-        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 4)
-        parent, ascend = os.getpid(), linreg._ascend
-
-        def dying_ascend(*args):
-            if os.getpid() != parent:
-                os._exit(3)
-            return ascend(*args)
-
-        monkeypatch.setattr(linreg, "_ascend", dying_ascend)
-        with pytest.raises(RuntimeError):
-            certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
-        assert len(fan_out) == 3
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_workers_capped_at_usable_cpus(self, fan_out):
-        certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=10**6)
-        assert len(fan_out) == min(12, linreg._usable_cpus()) - 1
-        assert certs == certify(*self.FAN_OUT, trials=6, seed=17)
-
-    def test_serial_where_fork_is_missing(self, fan_out, monkeypatch):
-        # Threads serialize on the interpreter lock, so without fork this
-        # process runs every share and no thread pool starts.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("certify started a thread pool")
-
-        monkeypatch.setattr(linreg, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(linreg, "_usable_cpus", lambda: 4)
-        monkeypatch.delattr(os, "fork")
-        certs = certify(*self.FAN_OUT, trials=6, seed=17, threads=4)
-        assert certs == certify(*self.FAN_OUT, trials=6, seed=17)
-
-    def test_task_value_independent_of_its_block(self, rng):
-        m, tri = make_problem(ProblemSpec("volterra", 48))
-        src = SourceSpec(0.5, 1.0)
-
-        def searches():
-            out = []
-            for i, delta in enumerate([1e-1, 1e-2, 1e-3, 1e-4, 1e-5]):
-                y = sample_source_set(tri, src, 1, seed=i)[0]
-                e = rng_from(3, i).standard_normal(48)
-                e *= delta / np.linalg.norm(e)
-                a = choose_a(delta, src)
-                out.append(linreg._prepare(tri, src, m @ y + e, delta, a, 3 + i, seed=i))
-            return out
-
-        together = linreg._ascend(tri, src, searches())
-        alone = [linreg._ascend(tri, src, [x])[0] for x in searches()]
-        assert together == alone
-        assert linreg._ascend(tri, src, searches()[::-1]) == together[::-1]
 
     @pytest.mark.parametrize("problem, restarts", [
         (ProblemSpec("volterra", 64), 4),
@@ -749,12 +674,10 @@ class TestCertify:
         (ProblemSpec("volterra", 64), 16),
         (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), 16),
     ], ids=["volterra", "rotated-diagonal", "volterra-restarts16", "rotated-diagonal-restarts16"])
-    def test_worst_case_search_is_certifys_search(self, problem, restarts, monkeypatch):
-        # certify's first trial, rebuilt from its seeds: c from a generator
-        # seeded by the trial generator's first draw, noise delta * u_{j*},
-        # f_delta = U (sigma * c) + e, and the next draw seeds the search.
-        # Both read RESTARTS when they run; on volterra 16 starts find more
-        # than 4.
+    def test_lower_bound_dominates_the_search(self, problem, restarts, monkeypatch):
+        # Data f_delta = U (sigma * c) + e from a seeded boundary member c
+        # and noise e = delta * u_{j*}: the worst case for these data is one
+        # of those the class-wide worst case bounds.
         monkeypatch.setattr(linreg, "RESTARTS", restarts)
         src, delta, seed = SourceSpec(0.5, 1.0), 1e-3, 11
         tri = spectral.factors(problem)
@@ -764,12 +687,12 @@ class TestCertify:
         e = delta * tri.u[:, np.argmax(tri.sigma / (tri.s + a))]
         f_delta = tri.u @ (tri.sigma * c) + e
         got = worst_case_search(tri, src, f_delta, delta, a, seed=int(rng.integers(0, 2**63)))
-        assert got == certify(problem, src, [delta], trials=1, seed=seed)[0].empirical_lower
+        assert 0.0 < got <= certify(problem, src, [delta])[0].empirical_lower
 
     def test_empirical_slope_tracks_rate(self):
         src = SourceSpec(0.5, 1.0)
         deltas = list(np.logspace(-5, -1, 6))
-        certs = certify(ProblemSpec("volterra", 64), src, deltas, trials=8, seed=5)
+        certs = certify(ProblemSpec("volterra", 64), src, deltas)
         logs = np.log([c.empirical_lower for c in certs])
         slope = np.polyfit(np.log(deltas), logs, 1)[0]
         want = 2 * src.p / (2 * src.p + 1)
@@ -780,12 +703,10 @@ class TestCertify:
     def test_validation(self):
         spec, src = ProblemSpec("diagonal", 4), SourceSpec(0.5, 1.0)
         with pytest.raises(InvalidParameterError):
-            certify(spec, src, [], trials=1)
-        with pytest.raises(InvalidParameterError):
-            certify(spec, src, [1e-3], trials=0)
+            certify(spec, src, [])
         for threads in (0, -2):
             with pytest.raises(InvalidParameterError):
-                certify(spec, src, [1e-3], trials=1, threads=threads)
+                certify(spec, src, [1e-3], threads=threads)
         tri = svd(np.eye(2))
         for restarts in (0, -3):
             with pytest.raises(InvalidParameterError):
@@ -793,7 +714,7 @@ class TestCertify:
 
     def test_csv_rows(self, tmp_path):
         src = SourceSpec(0.5, 1.0)
-        certs = certify(ProblemSpec("diagonal", 8, q=1.0), src, [1e-3], trials=2, seed=0)
+        certs = certify(ProblemSpec("diagonal", 8, q=1.0), src, [1e-3])
         out = tmp_path / "c.csv"
         assert run(["certify-linear", "--problem", "diagonal", "--n", "8", "--q", "1",
                     "--p", "0.5", "--k", "1", "--deltas", "1e-3", "--trials", "2",
