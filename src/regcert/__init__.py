@@ -41,8 +41,8 @@ _HOME = {
          "membership", "member_candidates", "empirical_sup_error", "witness_pair"),
         "numdiff",
     ),
-    **dict.fromkeys(("SvdTriple", "ProblemSpec", "svd", "factors", "make_problem", "apply"),
-                   "spectral"),
+    **dict.fromkeys(("Spectrum", "SvdTriple", "ProblemSpec", "svd", "spectrum", "factors",
+                     "make_problem", "apply"), "spectral"),
     **dict.fromkeys(
         ("SourceSpec", "ConstantsPack", "Certificate", "constants", "choose_a",
          "operator_norm", "source_membership", "sample_source_set", "bias_sup",

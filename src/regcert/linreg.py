@@ -26,7 +26,7 @@ from .errors import (BOUND_TOL, Bracket, DegenerateProblemError, InfeasibleError
 from .errors import count as _count, positive_finite, vector, within
 from .seeding import rng_from
 # make_problem is not called here: linreg.make_problem stays a name for callers.
-from .spectral import ProblemSpec, SvdTriple, _filter, _norms, factors, make_problem, right
+from .spectral import ProblemSpec, Spectrum, SvdTriple, _filter, _norms, make_problem, spectrum
 
 # Coefficients on exact null-space modes larger than this are treated as a
 # genuine component outside the source set.
@@ -103,7 +103,7 @@ def choose_a(delta: float, source: SourceSpec) -> float:
     return float(pack.b_p * delta ** (2.0 / (2.0 * source.p + 1.0)))
 
 
-def operator_norm(svd: SvdTriple, a: float) -> float:
+def operator_norm(svd: Spectrum, a: float) -> float:
     """max_i sigma_i/(s_i + a); never exceeds 1/(2 sqrt(a))."""
     positive_finite(a, "regularization parameter")
     return float(np.max(_filter(svd, a))) if svd.n else 0.0
@@ -116,7 +116,7 @@ def source_membership(y: np.ndarray, svd: SvdTriple, source: SourceSpec) -> tupl
     the set (value +inf): the weight s^{-2p} diverges there.
     """
     y = vector(y, svd.n, "vector")
-    coef = right(svd).T @ y
+    coef = svd.v.T @ y
     pos = svd.sigma > 0.0
     if np.any(np.abs(coef[~pos]) > NULL_COEF_TOL):
         return float("inf"), False
@@ -132,11 +132,10 @@ def sample_source_set(
     Every sample meets the source bound with value k_p^2 up to round-off.
     """
     _count(count, "count")
-    v = right(svd)
-    return [v @ _boundary_coef(svd, source, rng_from(seed, j)) for j in range(count)]
+    return [svd.v @ _boundary_coef(svd, source, rng_from(seed, j)) for j in range(count)]
 
 
-def _boundary_coef(svd: SvdTriple, source: SourceSpec, rng: np.random.Generator) -> np.ndarray:
+def _boundary_coef(svd: Spectrum, source: SourceSpec, rng: np.random.Generator) -> np.ndarray:
     """V-coordinates c = V^T y of one seeded boundary member y of the source set.
 
     Spectral energies are a random unit-simplex split of k_p^2 s_i^{2p}
@@ -152,7 +151,7 @@ def _boundary_coef(svd: SvdTriple, source: SourceSpec, rng: np.random.Generator)
     return coef
 
 
-def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
+def bias_sup(svd: Spectrum, source: SourceSpec, a: float) -> float:
     """Exact sup over the discrete source set of a ||(T + aI)^{-1} y||.
 
     Equals k_p * max_i a s_i^p/(s_i + a); bounded by c_p k_p a^p, with
@@ -165,7 +164,7 @@ def bias_sup(svd: SvdTriple, source: SourceSpec, a: float) -> float:
     return float(source.k_p * np.max(a * s**source.p / (s + a)))
 
 
-def _worst_case(svd: SvdTriple, source: SourceSpec, delta: float, a: float):
+def _worst_case(svd: Spectrum, source: SourceSpec, delta: float, a: float):
     """(error, z, eta): the class-wide worst case M* = sup ||R(A y + e) - y||
     over the source set and ||e|| <= delta, as the error of the witness
     y = V z, e = U eta (positive modes) that attains it.
@@ -541,7 +540,7 @@ def certify(
     """Certificates over a noise sweep.
 
     Every delta's a = choose_a(delta), which also checks delta, is worked
-    out before the factors are built (``factors``; only sigma is read).
+    out before ``spectrum`` builds sigma, which is all that certify reads.
     empirical_lower is the class-wide worst case M* of ``_worst_case``,
     the error of an admissible witness that attains it; J1_disc + J2_disc
     bounds it by the triangle inequality.  ``threads`` must be an integer
@@ -552,7 +551,7 @@ def certify(
     _count(threads, "threads")
     deltas = [float(d) for d in deltas]
     a_of = [choose_a(delta, source) for delta in deltas]
-    tri = factors(problem)
+    sv = spectrum(problem)
     pack = constants(source)
     p, k = source.p, source.k_p
 
@@ -561,10 +560,10 @@ def certify(
             delta=delta, a=a, p=float(p), k=float(k),
             J1_cont=float(delta / (2.0 * np.sqrt(a))),
             J2_cont=float(pack.c_p * k * a**p),
-            J1_disc=delta * operator_norm(tri, a),
-            J2_disc=bias_sup(tri, source, a),
+            J1_disc=delta * operator_norm(sv, a),
+            J2_disc=bias_sup(sv, source, a),
             rate_bound=float(pack.C_p * delta ** (2.0 * p / (2.0 * p + 1.0))),
-            empirical_lower=_worst_case(tri, source, delta, a)[0],
+            empirical_lower=_worst_case(sv, source, delta, a)[0],
         )
         for delta, a in zip(deltas, a_of)
     ]

@@ -11,15 +11,14 @@ regularizer, varreg's linearized start), and the row norms ``_norms`` and
 No gallery kind runs a dense SVD.  The diagonal kinds are built from their
 own SVD, A = Q1 diag(d) Q2^T, so they carry the triple by construction; the
 volterra matrix's triple has a closed form (``_volterra_triple``).
-``factors`` builds a kind's triple, by default left-only (U and sigma, no
-V), which is all that forming data U (sigma * c) and the spectral bounds
-read; ``make_problem`` adds V and the matrix A.  ``svd`` stays as the dense
-LAPACK SVD of a general square matrix.
+``spectrum`` builds a kind's sigma alone, all that the spectral bounds
+read; ``factors`` builds its full triple and ``make_problem`` adds A.
+``svd`` stays as the dense LAPACK SVD of a general square matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,23 +35,16 @@ PROBLEM_KINDS = ("volterra", "diagonal", "rotated-diagonal")
 
 
 @dataclass(frozen=True)
-class SvdTriple:
-    """Singular value decomposition A = U diag(sigma) V^T, sigma descending.
+class Spectrum:
+    """Singular values sigma of a square matrix, descending and read-only."""
 
-    v is None on a left-only triple (``factors``'s default), which carries
-    U and sigma alone; ``right`` refuses it.
-    """
-
-    u: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray | None
 
     def __post_init__(self):
-        for name in ("u", "sigma", "v")[:2 if self.v is None else 3]:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr = arr.copy()
+        for field in fields(self):
+            arr = np.asarray(getattr(self, field.name), dtype=float).copy()
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, field.name, arr)
 
     @property
     def s(self) -> np.ndarray:
@@ -62,6 +54,14 @@ class SvdTriple:
     @property
     def n(self) -> int:
         return self.sigma.shape[0]
+
+
+@dataclass(frozen=True)
+class SvdTriple(Spectrum):
+    """Singular value decomposition A = U diag(sigma) V^T, sigma descending."""
+
+    u: np.ndarray
+    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,7 @@ def _flush_null_modes(sig: np.ndarray) -> np.ndarray:
     return sig
 
 
-def right(svd: SvdTriple) -> np.ndarray:
-    """V of the triple; a left-only triple raises InvalidMatrixError."""
-    if svd.v is None:
-        raise InvalidMatrixError("this needs V, but the triple carries only U and sigma")
-    return svd.v
-
-
-def _filter(svd: SvdTriple, a: float) -> np.ndarray:
+def _filter(svd: Spectrum, a: float) -> np.ndarray:
     return svd.sigma / (svd.s + a)
 
 
@@ -131,7 +124,7 @@ def apply(svd: SvdTriple, f_delta: np.ndarray, a: float) -> np.ndarray:
     """
     positive_finite(a, "regularization parameter")
     f_delta = vector(f_delta, svd.n, "data vector")
-    return right(svd) @ (_filter(svd, a) * (svd.u.T @ f_delta))
+    return svd.v @ (_filter(svd, a) * (svd.u.T @ f_delta))
 
 
 def _sqnorms(x: np.ndarray) -> np.ndarray:
@@ -159,22 +152,9 @@ def volterra_matrix(n: int) -> np.ndarray:
     return a
 
 
-def _volterra_triple(n: int, with_v: bool) -> SvdTriple:
-    """Closed-form SVD of ``volterra_matrix(n)``; left-only unless ``with_v``.
-
-    With m = n - 1 and h = 1/m, row 0 is zero and rows 1..m are (h/2) L B,
-    L the m x m lower-triangular ones and B[i, i] = B[i, i+1] = 1.  The
-    positive modes are sigma_k = (h/2) cot(theta_k/2), k = 1..m, where
-    theta_k in (0, pi) solves m theta + phi(theta) = (k - 1/2) pi with
-    phi(theta) = arctan(tan(theta/2) / 2).  With alpha_i = (i + 1/2) theta_k
-    + phi_k, u_k = [0, sin alpha_0, ..., sin alpha_{m-1}] and v_k = [cos phi_k
-    / (2 cos(theta_k/2)), cos alpha_0, ..., cos alpha_{m-1}], both
-    normalized, so v_k[0] > 0 and u_k[1] > 0.  The null pair is u = e_0,
-    v_j = (-1)^j / sqrt(n).
-    """
-    m = n - 1
-    k = np.arange(1, m + 1)
-    target = (k - 0.5) * np.pi
+def _volterra_modes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta_k/2, k = 1..m, and sigma of ``volterra_matrix(m + 1)`` (``_volterra_triple``)."""
+    target = (np.arange(1, m + 1) - 0.5) * np.pi
     theta = target / (m + 0.25)
     # Newton on m theta + phi(theta); phi' = (1 + t^2)/(4 + t^2) with
     # t = tan(theta/2), so the slope lies in [m + 1/4, m + 1).  Four steps
@@ -189,27 +169,50 @@ def _volterra_triple(n: int, with_v: bool) -> SvdTriple:
         if np.max(np.abs(step)) <= 1e-15:
             break
     half = 0.5 * theta
+    return half, _flush_null_modes(np.append(0.5 / (m * np.tan(half)), 0.0))
+
+
+def _volterra_triple(n: int) -> SvdTriple:
+    """Closed-form SVD of ``volterra_matrix(n)``.
+
+    With m = n - 1 and h = 1/m, row 0 is zero and rows 1..m are (h/2) L B,
+    L the m x m lower-triangular ones and B[i, i] = B[i, i+1] = 1.  The
+    positive modes are sigma_k = (h/2) cot(theta_k/2), k = 1..m, where
+    theta_k in (0, pi) solves m theta + phi(theta) = (k - 1/2) pi with
+    phi(theta) = arctan(tan(theta/2) / 2).  With alpha_i = (i + 1/2) theta_k
+    + phi_k, u_k = [0, sin alpha_0, ..., sin alpha_{m-1}] and v_k = [cos phi_k
+    / (2 cos(theta_k/2)), cos alpha_0, ..., cos alpha_{m-1}], both
+    normalized, so v_k[0] > 0 and u_k[1] > 0.  The null pair is u = e_0,
+    v_j = (-1)^j / sqrt(n).
+    """
+    m = n - 1
+    half, sigma = _volterra_modes(m)
     phi = np.arctan2(np.sin(half), 2.0 * np.cos(half))
     # alpha = x theta_k + phi_k for x = i + 1/2, with theta_k = ((k - 1/2) pi
     # - phi_k)/m: x (k - 1/2) pi / m = pi (2x)(2k - 1) / (4m), whose integer
     # number of half-turns is reduced exactly, modulo 8m, before scaling.
     # Unreduced, U's orthogonality error grows to about 3e-13 at n = 1024.
     two_x = np.arange(1, 2 * m, 2)
-    alpha = np.outer(2 * k - 1, two_x) % (8 * m) * (np.pi / (4 * m))
+    alpha = np.outer(2 * np.arange(1, m + 1) - 1, two_x) % (8 * m) * (np.pi / (4 * m))
     alpha += phi[:, None] * (1.0 - two_x / (2.0 * m))
     ut = np.zeros((n, n))
     np.sin(alpha, out=ut[:m, 1:])
     ut[:m] /= np.linalg.norm(ut[:m], axis=1)[:, None]
     ut[m, 0] = 1.0
-    sigma = _flush_null_modes(np.append(0.5 / (m * np.tan(half)), 0.0))
-    if not with_v:
-        return SvdTriple(u=ut.T, sigma=sigma, v=None)
     vt = np.empty((n, n))
     np.cos(alpha, out=vt[:m, 1:])
     vt[:m, 0] = np.cos(phi) / (2.0 * np.cos(half))
     vt[:m] /= np.linalg.norm(vt[:m], axis=1)[:, None]
     vt[m] = (-1.0) ** np.arange(n) / np.sqrt(n)
     return SvdTriple(u=ut.T, sigma=sigma, v=vt.T)
+
+
+def spectrum(spec: ProblemSpec) -> Spectrum:
+    """The gallery matrix's sigma, bit for bit ``make_problem``'s, with no
+    factor, draw or matrix: ``rotated-diagonal``'s is ``diagonal``'s."""
+    if spec.kind == "volterra":
+        return Spectrum(sigma=_volterra_modes(spec.n - 1)[1])
+    return Spectrum(sigma=_flush_null_modes(np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)))
 
 
 def _seeded_orthogonal(n: int, rng) -> np.ndarray:
@@ -219,38 +222,35 @@ def _seeded_orthogonal(n: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def factors(spec: ProblemSpec, with_v: bool = False) -> SvdTriple:
-    """The gallery matrix's singular triple, left-only unless ``with_v``.
+def factors(spec: ProblemSpec) -> SvdTriple:
+    """The gallery matrix's singular triple, with ``spectrum``'s sigma.
 
     The diagonal kinds are A = Q1 diag(d) Q2^T with the descending power
     law d_k = k^-q, so their triple is (Q1, d, Q2) with no factorization:
     Q1 = Q2 = I for ``diagonal``, and for ``rotated-diagonal`` Q1 and then
-    Q2 are the seeded QR factors of two draws from one generator, so the
-    left-only triple runs one QR.  ``volterra``'s comes from its closed
-    form, whose V half is skipped on a left-only triple.  No kind runs a
-    dense SVD or forms A.
+    Q2 are the seeded QR factors of two draws from one generator;
+    ``volterra``'s is its closed form.  No kind runs a dense SVD or forms A.
     """
     if spec.kind == "volterra":
-        return _volterra_triple(spec.n, with_v)
-    d = np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)
+        return _volterra_triple(spec.n)
     if spec.kind == "diagonal":
         q1 = q2 = np.eye(spec.n)
     else:
         rng = rng_from(spec.seed)
         q1 = _seeded_orthogonal(spec.n, rng)
-        q2 = _seeded_orthogonal(spec.n, rng) if with_v else None
-    return SvdTriple(u=q1, sigma=_flush_null_modes(d), v=q2 if with_v else None)
+        q2 = _seeded_orthogonal(spec.n, rng)
+    return SvdTriple(u=q1, sigma=spectrum(spec).sigma, v=q2)
 
 
 def make_problem(spec: ProblemSpec) -> tuple[np.ndarray, SvdTriple]:
-    """The gallery matrix A and its full singular triple, ``factors(spec, True)``.
+    """The gallery matrix A and its singular triple, ``factors(spec)``.
 
     A is ``volterra_matrix`` for ``volterra`` and Q1 diag(d) Q2^T, with d
     before the null-mode flush, for the diagonal kinds.  Only the callers
-    that form A y, or need V, want this: linreg's certify reads U and sigma
-    alone and calls ``factors``.
+    that form A y, or need U or V, want this: linreg's certify reads sigma
+    alone and calls ``spectrum``.
     """
-    tri = factors(spec, with_v=True)
+    tri = factors(spec)
     if spec.kind == "volterra":
         return volterra_matrix(spec.n), tri
     d = np.arange(1, spec.n + 1, dtype=float) ** (-spec.q)

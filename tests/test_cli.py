@@ -466,6 +466,22 @@ class TestDeterminism:
         assert run(base + ["--trials", "64", "--out", str(paths[1])]) == 0
         assert _read(paths[0]) == _read(paths[1])
 
+    def test_certify_linear_seed_and_rotation_independent(self, capsys):
+        # certify-linear reads sigma alone: rotated-diagonal's seed picks
+        # only its singular vectors, so every seed, and diagonal itself,
+        # gives the same CSV.
+        common = ["--n", "64", "--q", "1.3", "--p", "0.25", "--k", "2",
+                  "--deltas", "1e-4:1e-1:log4"]
+        outs = []
+        for argv in (["--problem", "rotated-diagonal", "--seed", "0"],
+                     ["--problem", "rotated-diagonal", "--seed", "3"],
+                     ["--problem", "rotated-diagonal", "--seed", "77"],
+                     ["--problem", "diagonal"]):
+            assert run(["certify-linear", *argv, *common]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].count("\n") == 5
+        assert outs[1] == outs[0] and outs[2] == outs[0] and outs[3] == outs[0]
+
     def test_witness_repeatable(self, tmp_path):
         base = ["witness", "--n", "1025", "--a", "2", "--m", "1",
                 "--deltas", "1e-5:1e-3:log3", "--seed", "3"]

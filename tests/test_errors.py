@@ -17,7 +17,6 @@ from regcert import (
     add_noise,
     apply,
     convergence_study,
-    factors,
     functional,
     holder_norm,
     linreg,
@@ -153,23 +152,8 @@ def _recording(module, name, monkeypatch) -> list:
     return calls
 
 
-# Each function that reads V, given a left-only triple (U and sigma alone).
-_LEFT = factors(ProblemSpec("diagonal", N))
-_NEEDS_V = {
-    "apply": lambda: apply(_LEFT, np.full(N, 0.1), 1e-2),
-    "source_membership": lambda: source_membership(np.full(N, 0.1), _LEFT, _SOURCE),
-    "sample_source_set": lambda: sample_source_set(_LEFT, _SOURCE, 1),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_NEEDS_V))
-def test_left_only_triple_raises_matrix_error(name):
-    with pytest.raises(InvalidMatrixError, match="needs V"):
-        _NEEDS_V[name]()
-
-
 def test_linear_certify_checks_every_delta_before_factorizing(monkeypatch):
-    calls = _recording(linreg, "factors", monkeypatch)
+    calls = _recording(linreg, "spectrum", monkeypatch)
     with pytest.raises(InvalidParameterError, match="got nan"):
         linreg.certify(ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-3, np.nan])
     assert calls == []

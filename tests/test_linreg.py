@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,7 +515,7 @@ class TestWorstCase:
         u = np.stack([np.cos(theta), np.sin(theta)])
         for _ in range(20):
             sigma = np.sort(rng.uniform(0.05, 2.0, 2))[::-1]
-            tri = spectral.SvdTriple(u=np.eye(2), sigma=sigma, v=None)
+            tri = spectral.Spectrum(sigma=sigma)
             src = SourceSpec(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.5, 5.0)))
             delta = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.3))))
             a = choose_a(delta, src)
@@ -541,7 +542,7 @@ class TestWorstCase:
         # the a-priori one.
         for _ in range(200):
             sigma = np.sort(10.0 ** rng.uniform(-5, 0, 40))[::-1]
-            tri = spectral.SvdTriple(u=np.eye(40), sigma=sigma, v=None)
+            tri = spectral.Spectrum(sigma=sigma)
             src = SourceSpec(float(rng.uniform(0.01, 0.99)), float(10.0 ** rng.uniform(-2, 2)))
             delta, a = (float(x) for x in 10.0 ** rng.uniform([-8, -10], [0, 1]))
             want = _all_pairs_worst_case(tri, src, delta, a)
@@ -626,20 +627,20 @@ class TestCertify:
         assert [c.empirical_lower for c in certs] == want
 
     def test_volterra_sign_convention_leaves_first_trial(self, monkeypatch):
-        # certify reads sigma alone, so the closed-form volterra factors and
-        # LAPACK's, whose singular vectors have other signs, give the same
-        # certificates up to the rounding of sigma.
+        # certify reads sigma alone, so the closed-form volterra sigma and
+        # LAPACK's, whose singular vectors also have other signs, give the
+        # same certificates up to the rounding of sigma.
         args = (ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4])
         closed = certify(*args)
-        dense_tri = svd(volterra_matrix(64))
-        assert not np.all(dense_tri.u[1, :-1] > 0)  # LAPACK's signs differ
+        dense_sigma = svd(volterra_matrix(64)).sigma
+        assert not np.array_equal(dense_sigma, spectral.spectrum(args[0]).sigma)
         built = []
 
-        def lapack_factors(spec):
+        def lapack_spectrum(spec):
             built.append(spec)
-            return spectral.SvdTriple(u=dense_tri.u, sigma=dense_tri.sigma, v=None)
+            return spectral.Spectrum(sigma=dense_sigma)
 
-        monkeypatch.setattr(linreg, "factors", lapack_factors)
+        monkeypatch.setattr(linreg, "spectrum", lapack_spectrum)
         dense = certify(*args)
         assert built == [args[0]]
         for c, d in zip(closed, dense):
@@ -649,11 +650,12 @@ class TestCertify:
             assert c.passed == d.passed
 
     @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 64),
-                                         ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4)],
-                             ids=["volterra", "rotated-diagonal"])
-    def test_builds_only_u_and_sigma(self, problem, monkeypatch):
-        # rotated-diagonal's V is the second seeded QR; volterra's A is
-        # volterra_matrix.  certify reads neither, nor make_problem's triple.
+                                         ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4),
+                                         ProblemSpec("diagonal", 64, q=1.0)],
+                             ids=["volterra", "rotated-diagonal", "diagonal"])
+    def test_builds_sigma_alone(self, problem, monkeypatch):
+        # certify reads sigma alone: no QR draw, no closed-form singular
+        # vectors, no matrix A and no triple.
         built = []
 
         def recording(name, inner):
@@ -663,10 +665,27 @@ class TestCertify:
             return wrapper
 
         for module, name in ((np.linalg, "qr"), (spectral, "make_problem"),
-                             (linreg, "make_problem"), (spectral, "volterra_matrix")):
+                             (linreg, "make_problem"), (spectral, "volterra_matrix"),
+                             (spectral, "factors"), (spectral, "_seeded_orthogonal"),
+                             (spectral, "_volterra_triple")):
             monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         certify(problem, SourceSpec(0.5, 1.0), [1e-2, 1e-4])
-        assert built == (["qr"] if problem.kind == "rotated-diagonal" else [])
+        assert built == []
+
+    @pytest.mark.parametrize("problem", [ProblemSpec("volterra", 1024),
+                                         ProblemSpec("rotated-diagonal", 1024, q=1.0)],
+                             ids=["volterra", "rotated-diagonal"])
+    def test_peak_memory_below_a_quarter_matrix(self, problem):
+        # One n x n float64 matrix is n * n * 8 bytes; certify, reading
+        # sigma alone, stays under a quarter of that at n = 1024.
+        src, deltas = SourceSpec(0.5, 1.0), [1e-4, 1e-3, 1e-2, 1e-1]
+        tracemalloc.start()
+        try:
+            certify(problem, src, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < problem.n * problem.n * 8 / 4
 
     @pytest.mark.parametrize("problem, restarts", [
         (ProblemSpec("volterra", 64), 4),

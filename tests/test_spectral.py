@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regcert import ProblemSpec, factors, make_problem, svd
+from regcert import ProblemSpec, make_problem, spectrum, svd
 from regcert.errors import InvalidMatrixError
 from regcert.seeding import rng_from
 from regcert.spectral import MAX_DENSE_N, PROBLEM_KINDS, ZERO_SV_RTOL, volterra_matrix
@@ -134,19 +134,23 @@ class TestClosedForm:
             assert not arr.flags.writeable
 
 
-class TestFactors:
-    """``factors`` builds U and sigma alone, with make_problem's bits."""
+class TestSpectrum:
+    """``spectrum`` builds sigma alone, with make_problem's bits."""
 
-    @pytest.mark.parametrize("n", [3, 64, 257])
+    @pytest.mark.parametrize("n", [3, 4, 17, 257, 1024])
     @pytest.mark.parametrize("kind", PROBLEM_KINDS)
-    def test_left_only_equals_make_problem(self, kind, n, monkeypatch):
+    def test_equals_make_problem(self, kind, n, monkeypatch):
         spec = ProblemSpec(kind, n, q=0.7, seed=5)
         _, full = make_problem(spec)
-        monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
-        left = factors(spec)
-        assert left.v is None
-        assert np.array_equal(left.u, full.u) and np.array_equal(left.sigma, full.sigma)
-        assert not left.u.flags.writeable and not left.sigma.flags.writeable
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("spectrum ran a factorization")
+
+        monkeypatch.setattr(np.linalg, "svd", no_factorization)
+        monkeypatch.setattr(np.linalg, "qr", no_factorization)
+        got = spectrum(spec)
+        assert np.array_equal(got.sigma, full.sigma)
+        assert not got.sigma.flags.writeable
 
 
 class TestGallery:
