@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regcert import ProblemSpec, make_problem, spectrum, svd
+from regcert import ProblemSpec, factors, make_problem, spectral, spectrum, svd
 from regcert.errors import InvalidMatrixError
 from regcert.seeding import rng_from
 from regcert.spectral import MAX_DENSE_N, PROBLEM_KINDS, ZERO_SV_RTOL, volterra_matrix
@@ -130,6 +130,29 @@ class TestClosedForm:
         assert np.array_equal(tri.v[:, -1], (-1.0) ** np.arange(n) / np.sqrt(n))
         # The sign convention: v_k[0] > 0 and u_k[1] > 0 on every positive mode.
         assert np.all(tri.v[0, :-1] > 0) and np.all(tri.u[1, :-1] > 0)
+        for arr in (tri.u, tri.sigma, tri.v):
+            assert not arr.flags.writeable
+
+
+class TestFactors:
+    """``factors`` builds make_problem's triple, bit for bit, with no dense
+    SVD and without forming A."""
+
+    @pytest.mark.parametrize("n", [3, 64, 257])
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_left_only_equals_make_problem(self, kind, n, monkeypatch):
+        spec = ProblemSpec(kind, n, q=0.7, seed=5)
+        _, full = make_problem(spec)
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("factors formed A")
+
+        monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
+        monkeypatch.setattr(spectral, "volterra_matrix", no_matrix)
+        tri = factors(spec)
+        # The left factor and sigma, then V, each equal make_problem's.
+        assert np.array_equal(tri.u, full.u) and np.array_equal(tri.sigma, full.sigma)
+        assert np.array_equal(tri.v, full.v)
         for arr in (tri.u, tri.sigma, tri.v):
             assert not arr.flags.writeable
 
