@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import RegcertError, UsageError, choice, count, positive_finite
+from .errors import InvalidModelError, RegcertError, UsageError, choice, count, positive_finite
 from .function_space import (
+    NOISE_MODELS,
     Grid,
     HolderSpec,
     NoisyData,
@@ -107,10 +108,8 @@ class Opt:
     help: str = ""
 
 
-_COMMON = [
-    Opt("seed", _int, default=0, help="seed for every random draw"),
-    Opt("out", str, help="output CSV path (default stdout)"),
-]
+_OUT = Opt("out", str, help="output CSV path (default stdout)")
+_COMMON = [Opt("seed", _int, default=0, help="seed for every random draw"), _OUT]
 
 _BOUNDARY = Opt("boundary", str, default="sound",
                 help="one-sided stencil: sound (step 2h, within budget) | paper (step h)")
@@ -132,16 +131,20 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("a", _float, required=True, help="smoothness exponent, must be > 1"),
         Opt("m", _float, required=True, help="class norm bound"),
         Opt("deltas", parse_deltas, required=True, help="noise sweep"),
+        # Accepted and validated but unused: the lower bound is a class-wide
+        # witness, which needs no truth, noise draw or sample, and the
+        # benchmark's diff-sweep workload and criterion 10 still pass these
+        # flags.
         Opt("models", _parse_models, default="alternating,spike,smooth,seeded-uniform",
-            help="comma list of noise models"),
-        Opt("truth", str, default="quadratic", help=f"synthetic truth, one of {TRUTHS}"),
-        # Accepted and validated but unused: the benchmark's diff-sweep
-        # workload still passes --samples, so the flag stays until that
-        # workload drops it.
+            help="unused; accepted, if a comma list of one or more noise models, "
+                 "for compatibility"),
+        Opt("truth", str, default="quadratic",
+            help=f"unused; accepted, if one of {TRUTHS}, for compatibility"),
         Opt("samples", _int, default=16,
             help="unused; accepted, if an integer >= 1, for compatibility"),
         _BOUNDARY,
-        *_COMMON,
+        Opt("seed", _int, default=0, help="unused; accepted, if an integer, for compatibility"),
+        _OUT,
     ],
     "witness": [
         Opt("n", _int, default=2049, help="grid nodes"),
@@ -317,9 +320,15 @@ def _run_certify_diff(cfg: RunConfig) -> int:
 
     p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
-    truth = make_truth(p["truth"], Grid(p["n"]), spec, cfg.seed)
+    grid = Grid(p["n"])
+    # Unused, but checked in the order earlier releases checked them, so a
+    # bad command line still reports the same error.
+    choice(p["truth"], TRUTHS, "truth", UsageError)
     count(p["samples"], "samples")
-    certs = numdiff.certify(truth, spec, p["deltas"], p["models"], cfg.seed, p["boundary"])
+    count(len(p["models"]), "number of noise models")
+    for model in p["models"]:
+        choice(model, NOISE_MODELS, "noise model", InvalidModelError)
+    certs = numdiff.certify(grid, spec, p["deltas"], p["boundary"])
     return _write_certificates(certs, cfg.out)
 
 

@@ -189,14 +189,27 @@ def holder_norm(u: SampledFunction, a: float) -> float:
     return float(np.max(np.abs(v) + np.abs(d))) + _pair_quotient(dx, d, a - 1.0)
 
 
+def noise_shrink(f: SampledFunction, delta: float) -> float:
+    """1 - 4 eps (||f||_inf + delta) / delta for delta > 0, eps the float64
+    machine epsilon: a noise profile e with |e| <= delta, scaled by it, keeps
+    |(f + e) - f| <= delta as computed.  A delta at or below the rounding of
+    f, where the factor is not positive, raises InvalidParameterError.
+    """
+    sup_f = float(np.max(np.abs(f.values)))
+    shrink = 1.0 - 4.0 * np.finfo(float).eps * (sup_f + delta) / delta
+    if not shrink > 0.0:
+        raise InvalidParameterError(
+            f"noise radius {delta!r} is below the rounding of f (sup |f| = {sup_f:.3g})")
+    return shrink
+
+
 def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> NoisyData:
     """Perturb f by a noise profile with sup-norm radius just under delta.
 
-    Each profile below is scaled by 1 - 4 eps (||f||_inf + delta) / delta,
-    eps the float64 machine epsilon, so the rounding of f + e cannot lift
-    |(f + e) - f| above delta as computed: f is admissible for its own data
-    at every accepted delta.  A delta at or below the rounding of f, where
-    that factor is not positive, raises InvalidParameterError.
+    Each profile below is scaled by ``noise_shrink(f, delta)``, so the
+    rounding of f + e cannot lift |(f + e) - f| above delta as computed: f
+    is admissible for its own data at every accepted delta.  A delta at or
+    below the rounding of f raises InvalidParameterError.
 
     Models:
       exact-shift     f + delta at every node
@@ -211,11 +224,7 @@ def add_noise(f: SampledFunction, delta: float, model: str, seed: int = 0) -> No
     within(delta, 0, np.inf, "noise radius", ends="[)")
     if delta == 0.0:
         return NoisyData(SampledFunction(f.grid, f.values), 0.0)
-    sup_f = float(np.max(np.abs(f.values)))
-    shrink = 1.0 - 4.0 * np.finfo(float).eps * (sup_f + delta) / delta
-    if not shrink > 0.0:
-        raise InvalidParameterError(
-            f"noise radius {delta!r} is below the rounding of f (sup |f| = {sup_f:.3g})")
+    shrink = noise_shrink(f, delta)
     n = f.grid.n
     if model == "exact-shift":
         e = np.full(n, delta)

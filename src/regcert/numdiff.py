@@ -2,12 +2,14 @@
 
 The regularizer is a three-branch difference quotient with step h chosen from
 the noise radius and the a-priori smoothness class alone.  Its worst-case
-error over every admissible solution (residual within delta, class norm
-within m_a) is bracketed from above by an explicit noise + bias budget and
-from below by admissible solutions: ``certify`` measures the distance to a
-synthetic truth that passes the admissibility gate for its own data, and
-adversarial bump witnesses are two admissible solutions sharing the same
-data, whose separation no method can resolve.
+error over every admissible pair (a solution whose class norm is within m_a,
+and data within delta of its integral) is bracketed from above by an
+explicit noise + bias budget and from below by admissible solutions:
+``certify`` takes the error on one checked class-wide witness, a linear
+solution under a two-node noise spike that the regularizer turns into noise
+and bias of one sign at node 0, and adversarial bump witnesses are two
+admissible solutions sharing the same data, whose separation no method can
+resolve.
 """
 
 from __future__ import annotations
@@ -22,21 +24,20 @@ from .errors import (
     BOUND_TOL,
     Bracket,
     EmptyAdmissibleSetError,
-    InvalidModelError,
+    RegcertError,
     ResolutionError,
     StepTooLargeError,
     UnsupportedExponentError,
 )
 from .errors import choice, count, positive_finite, within
 from .function_space import (
-    NOISE_MODELS,
     Grid,
     HolderSpec,
     NoisyData,
     SampledFunction,
-    add_noise,
     holder_norm,
     integrate_volterra,
+    noise_shrink,
     sup_distance,
 )
 from .seeding import rng_from
@@ -84,7 +85,7 @@ class WitnessPair:
 @dataclass(frozen=True)
 class Certificate(Bracket):
     """Worst-case error bracket for one noise level: the budget total above,
-    the distance to the admissible truth below.
+    the error on the checked class-wide witness of ``_worst_case`` below.
 
     The fields are the columns of ``regcert certify-diff``'s CSV, in order:
     the class (a, M) and the budget's step and terms.
@@ -133,6 +134,27 @@ def _snapped_step(delta: float, spec: HolderSpec, grid: Grid) -> tuple[int, floa
     return m, m * grid.dx
 
 
+def _one_sided_step(
+    delta: float, spec: HolderSpec, grid: Grid, boundary: str
+) -> tuple[int, int, float]:
+    """(k, m, h): the snapped step h = m dx and the one-sided step k h of
+    ``boundary``'s stencil, k = 2 on the sound one and 1 on the paper's.
+
+    Raises StepTooLargeError when the stencil does not fit [0, 1].
+    """
+    choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
+    m, h = _snapped_step(delta, spec, grid)
+    # The paper's k = 1, or k = 2, whose noise amplification is the budget's
+    # delta/h.
+    k = 2 if boundary == "sound" else 1
+    if h >= 0.5 or (k + 1) * m > grid.n - 1:
+        raise StepTooLargeError(
+            f"snapped step h={h:.4g} leaves no room for the one-sided step {k}h "
+            "inside [0, 1]; delta is too large for this grid and class"
+        )
+    return k, m, h
+
+
 def differentiate(data: NoisyData, spec: HolderSpec, boundary: str = "sound") -> SampledFunction:
     """Three-branch difference quotient at step h snapped to the grid.
 
@@ -149,20 +171,10 @@ def differentiate(data: NoisyData, spec: HolderSpec, boundary: str = "sound") ->
       the 64 cells of acceptance criterion 1 (by up to ~10%).  Kept for
       that reproduction.  Needs h < 1/2.
     """
-    choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
-    positive_finite(data.delta, "noise radius")
     grid = data.f_delta.grid
-    m, h = _snapped_step(data.delta, spec, grid)
+    k, m, h = _one_sided_step(data.delta, spec, grid, boundary)
     f = data.f_delta.values
     n = grid.n
-    # One-sided step k*h: the paper's k = 1, or k = 2, whose noise
-    # amplification is the budget's delta/h.
-    k = 2 if boundary == "sound" else 1
-    if h >= 0.5 or (k + 1) * m > n - 1:
-        raise StepTooLargeError(
-            f"snapped step h={h:.4g} leaves no room for the one-sided step {k}h "
-            "inside [0, 1]; delta is too large for this grid and class"
-        )
     out = np.empty(n)
     out[m : n - m] = (f[2 * m :] - f[: n - 2 * m]) / (2.0 * h)
     out[:m] = (f[k * m : (k + 1) * m] - f[:m]) / (k * h)
@@ -183,16 +195,18 @@ def error_budget(delta: float, spec: HolderSpec, grid: Optional[Grid] = None) ->
     return DiffErrorBudget(h=h, noise_term=noise, bias_term=bias, total=noise + bias, rate_bound=rate)
 
 
-def membership(v: SampledFunction, data: NoisyData, spec: HolderSpec) -> Membership:
+def membership(
+    v: SampledFunction, data: NoisyData, spec: HolderSpec, tol: float = BOUND_TOL
+) -> Membership:
     """Is v an admissible solution for (f_delta, delta, class)?
 
     residual = sup |cumulative integral of v - f_delta|, norm = grid
     smoothness norm; both must sit within their bounds up to the factor
-    BOUND_TOL = 1 + 1e-9.
+    ``tol``: BOUND_TOL = 1 + 1e-9 by default, 1 for a strict check.
     """
     residual = sup_distance(integrate_volterra(v), data.f_delta)
     norm = holder_norm(v, spec.a)
-    ok = residual <= data.delta * BOUND_TOL and norm <= spec.m_a * BOUND_TOL
+    ok = residual <= data.delta * tol and norm <= spec.m_a * tol
     return Membership(bool(ok), residual, norm)
 
 
@@ -322,11 +336,10 @@ def empirical_sup_error(
     """Largest distance from the regularized derivative to an admissible
     candidate.
 
-    This is the one gate of the lower bound: a candidate counts only if it
-    passes ``membership``, and a pool in which none does raises
-    ``EmptyAdmissibleSetError``.  The result is a lower estimate of the true
-    supremum over the admissible set.  ``boundary`` selects the stencil of
-    ``differentiate``.
+    A candidate counts only if it passes ``membership``, and a pool in
+    which none does raises ``EmptyAdmissibleSetError``.  The result is a
+    lower estimate of the true supremum over the admissible set.
+    ``boundary`` selects the stencil of ``differentiate``.
     """
     r_out = differentiate(data, spec, boundary)
     accepted = [v for v in candidates if membership(v, data, spec).ok]
@@ -338,37 +351,63 @@ def empirical_sup_error(
     return max(sup_distance(r_out, v) for v in accepted)
 
 
+def _worst_case(grid: Grid, spec: HolderSpec, delta: float, boundary: str = "sound") -> float:
+    """Error of the regularizer on an explicit admissible pair (v*, f*), the
+    optimal-recovery construction of Micchelli & Rivlin 1977: up to its
+    inward margins, its node-0 error is the largest over every admissible
+    pair (a linear program over all of them agrees to 5e-9 at n <= 65).
+
+    v* = c (x - 1/2), c = (1 - 1e-8) m_a / holder_norm(x - 1/2), and
+    f* = integral of v* + e*, with e* = -s delta at node 0, +s delta at node
+    k m and zero elsewhere: m is the snapped step in nodes, k the one-sided
+    step of ``boundary``'s stencil and s = ``noise_shrink``.  At node 0 the
+    one-sided quotient then reads the noise 2 s delta/(k h) and the bias
+    c k h / 2 with one sign.  The pair counts only if the residual is within
+    delta and the norm within m_a as computed, with no tolerance; otherwise
+    RegcertError is raised.
+    """
+    k, m, _ = _one_sided_step(delta, spec, grid, boundary)
+    ramp = grid.nodes - 0.5
+    c = (1.0 - 1e-8) * spec.m_a / holder_norm(SampledFunction(grid, ramp), spec.a)
+    v = SampledFunction(grid, c * ramp)
+    f = integrate_volterra(v)
+    s = noise_shrink(f, delta)
+    e = np.zeros(grid.n)
+    e[0], e[k * m] = -s * delta, s * delta
+    return _witness_error(v, NoisyData(SampledFunction(grid, f.values + e), delta), spec, boundary)
+
+
+def _witness_error(v: SampledFunction, data: NoisyData, spec: HolderSpec, boundary: str) -> float:
+    """Sup distance from the regularized derivative of ``data`` to v, once v
+    passes ``membership`` with no tolerance; RegcertError otherwise."""
+    got = membership(v, data, spec, tol=1.0)
+    if not got.ok:
+        raise RegcertError(
+            f"the worst-case witness failed its admissibility check: residual={got.residual!r} "
+            f"(delta={data.delta!r}), norm={got.norm!r} (bound={spec.m_a!r})"
+        )
+    return sup_distance(differentiate(data, spec, boundary), v)
+
+
 def certify(
-    truth: SampledFunction,
+    grid: Grid,
     spec: HolderSpec,
     deltas: Sequence[float],
-    models: Sequence[str],
-    seed: int = 0,
     boundary: str = "sound",
 ) -> list[Certificate]:
-    """Certificates over a noise sweep for data synthesized from ``truth``.
+    """Certificates over a noise sweep on ``grid``.
 
-    Per delta and noise model: data = integral of truth plus the model's
-    noise at radius delta.  The truth is an admissible solution for its own
-    data, so the cell's error is ``empirical_sup_error`` over [truth]: the
-    sup distance from the regularized derivative to it.  A truth outside the
-    class raises ``EmptyAdmissibleSetError``.  The certificate's lower bound
-    is the max over models, and its upper bound the budget total.  Every
-    count, model, stencil and delta (through its budget) is checked before
-    any norm is computed.
+    Per delta the upper bound is the budget total, and the lower bound the
+    error on the checked class-wide witness of ``_worst_case``, which needs
+    no truth and no data.  Every count, the stencil and every delta
+    (through its budget) are checked before any norm is computed.
     """
     count(len(deltas), "number of deltas")
-    count(len(models), "number of noise models")
-    for model in models:
-        choice(model, NOISE_MODELS, "noise model", InvalidModelError)
     choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
-    budgets = [error_budget(delta, spec, truth.grid) for delta in deltas]
-    f = integrate_volterra(truth)
-    certs = []
-    for delta, budget in zip(deltas, budgets):
-        emp = max(empirical_sup_error(add_noise(f, delta, model, seed), spec, [truth], boundary)
-                  for model in models)
-        certs.append(Certificate(
+    budgets = [error_budget(delta, spec, grid) for delta in deltas]
+    return [
+        Certificate(
             float(delta), float(spec.a), float(spec.m_a), budget.h, budget.noise_term,
-            budget.bias_term, budget.total, emp))
-    return certs
+            budget.bias_term, budget.total, _worst_case(grid, spec, delta, boundary))
+        for delta, budget in zip(deltas, budgets)
+    ]

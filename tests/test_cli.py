@@ -147,7 +147,8 @@ class TestExitCodes:
         assert run(["certify-linear", "--n", "8"]) == 1
 
     def test_unknown_model_exit_one(self, tmp_path):
-        # An empty list would leave no sampled lower bound to certify.
+        # certify-diff does not use --models, but an unknown or empty list
+        # is still refused.
         for models in ("gaussian", ","):
             code = run(["certify-diff", "--n", "257", "--a", "2", "--m", "1",
                         "--deltas", "1e-3", "--models", models,
@@ -155,9 +156,9 @@ class TestExitCodes:
             assert code == 1
 
     def test_failed_certificate_exit_two(self, tmp_path):
-        # Alternating noise at an odd step multiple exceeds the budget's
-        # delta/h noise term through the paper's step-h one-sided boundary
-        # stencils (--boundary paper), so this configuration must produce a
+        # Through the paper's step-h one-sided boundary stencil
+        # (--boundary paper) the witness's two-node noise costs 2 delta/h
+        # against the budget's delta/h, so this configuration must produce a
         # failing certificate row.  The default step-2h stencil stays within
         # the budget here; see test_readme_certify_diff_example.
         out = tmp_path / "d.csv"
@@ -226,7 +227,7 @@ class TestExitCodes:
 
     def test_readme_certify_diff_example(self, tmp_path):
         # The README's certify-diff example passes every row under the
-        # default stencil; the paper stencil fails three of them.  The budget
+        # default stencil; the paper stencil fails all four.  The budget
         # columns do not depend on the stencil.
         base = ["certify-diff", "--n", "4097", "--a", "2", "--m", "1",
                 "--deltas", "1e-2:1e-5:log4", "--truth", "quadratic"]
@@ -236,7 +237,7 @@ class TestExitCodes:
         sound_rows = [r.split(",") for r in sound.read_text().splitlines()[1:]]
         paper_rows = [r.split(",") for r in paper.read_text().splitlines()[1:]]
         assert [r[-1] for r in sound_rows] == ["true"] * 4
-        assert [r[-1] for r in paper_rows].count("false") == 3
+        assert [r[-1] for r in paper_rows].count("false") == 4
         assert [r[:7] for r in sound_rows] == [r[:7] for r in paper_rows]
 
     def test_certify_diff_bytes(self, capsys):
@@ -247,13 +248,13 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass\n"
             "0.01,2.0,1.0,0.10009765625,0.09990243902439025,0.10009765625,"
-            "0.20000009527439025,0.12359208279606358,true\n"
+            "0.20000009527439025,0.166634209190405,true\n"
             "0.001,2.0,1.0,0.03173828125,0.031507692307692306,0.03173828125,"
-            "0.0632459735576923,0.03673558231718502,true\n"
+            "0.0632459735576923,0.052666546262768066,true\n"
             "0.0001,2.0,1.0,0.010009765625,0.009990243902439026,0.010009765625,"
-            "0.020000009527439026,0.011316364319011951,true\n"
+            "0.020000009527439026,0.016663420919033167,true\n"
             "1e-05,2.0,1.0,0.003173828125,0.003150769230769231,"
-            "0.003173828125,0.006324597355769231,0.0035407709283662436,true\n"
+            "0.003173828125,0.006324597355769231,0.005266654626253642,true\n"
         )
         assert run(["certify-diff", "--n", "1025", "--a", "1.5", "--m", "1",
                     "--deltas", "1e-2:1e-5:log4", "--samples", "4", "--truth", "quadratic",
@@ -261,17 +262,18 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,M,h,noise_term,bias_term,total,empirical_lower,pass\n"
             "0.01,1.5,1.0,0.0732421875,0.13653333333333334,0.2706329386826371,"
-            "0.40716627201597044,0.14235341024236295,true\n"
-            "0.001,1.5,1.0,0.015625,0.064,0.125,0.189,0.06333689361563016,true\n"
-            "0.0001,1.5,1.0,0.00390625,0.0256,0.0625,0.0881,0.02492538033259192,true\n"
+            "0.40716627201597044,0.18536145784505098,true\n"
+            "0.001,1.5,1.0,0.015625,0.064,0.125,0.189,0.07441666656249518,true\n"
+            "0.0001,1.5,1.0,0.00390625,0.0256,0.0625,0.0881,0.0282041666406061,true\n"
             "1e-05,1.5,1.0,0.0009765625,0.01024,0.03125,"
-            "0.04149,0.010069673949378508,true\n"
+            "0.04149,0.010891041660080425,true\n"
         )
 
     @pytest.mark.parametrize("n, a", [(1025, 1.5), (4097, 2.0), (257, 1.2)])
     def test_certify_diff_tiny_delta_uses_the_truth(self, n, a, tmp_path):
-        # At delta = 1e-10 the truth stays admissible for its own data, so
-        # the lower bound is its distance to the regularized derivative.
+        # At delta = 1e-10 the lower bound is still the class-wide witness,
+        # bit for bit, and no less than the error on the truth, which stays
+        # admissible for its own data under every noise model.
         out = tmp_path / "d.csv"
         assert run(["certify-diff", "--n", str(n), "--a", str(a), "--m", "1",
                     "--deltas", "1e-10", "--truth", "quadratic", "--seed", "1",
@@ -279,10 +281,11 @@ class TestExitCodes:
         spec = HolderSpec(a, 1.0)
         truth = make_truth("quadratic", Grid(n), spec, 1)
         f = integrate_volterra(truth)
-        want = max(sup_distance(differentiate(add_noise(f, 1e-10, model, 1), spec), truth)
-                   for model in ("alternating", "spike", "smooth", "seeded-uniform"))
+        on_truth = max(sup_distance(differentiate(add_noise(f, 1e-10, model, 1), spec), truth)
+                       for model in ("alternating", "spike", "smooth", "seeded-uniform"))
         _, rows = _rows(out)
-        assert float(rows[0][7]) == want
+        assert float(rows[0][7]) == numdiff._worst_case(Grid(n), spec, 1e-10)
+        assert float(rows[0][7]) >= on_truth
 
     def test_certify_linear_bytes(self, capsys):
         # TestThinAdapter's volterra argv, a rotated-diagonal argv with
@@ -639,16 +642,15 @@ class TestThinAdapter:
 
     @pytest.mark.parametrize("boundary", ["sound", "paper"])
     def test_certify_diff_rows_equal_module_output(self, tmp_path, boundary):
-        # The paper stencil fails the 1e-4 cell, so both pass values appear.
+        # The witness fails both cells on the paper stencil and passes both
+        # on the sound one.
         out = tmp_path / "cd.csv"
         code = run(["certify-diff", "--n", "4097", "--a", "2", "--m", "1",
                     "--deltas", "1e-3,1e-4", "--models", "alternating,spike",
                     "--samples", "3", "--truth", "quadratic", "--seed", "2",
                     "--boundary", boundary, "--out", str(out)])
         spec = HolderSpec(2.0, 1.0)
-        truth = make_truth("quadratic", Grid(4097), spec, 2)
-        certs = numdiff.certify(truth, spec, [1e-3, 1e-4], ["alternating", "spike"],
-                                seed=2, boundary=boundary)
+        certs = numdiff.certify(Grid(4097), spec, [1e-3, 1e-4], boundary=boundary)
         assert code == (0 if all(c.passed for c in certs) else 2)
         header, rows = _rows(out)
         assert header == ["delta", "a", "M", "h", "noise_term", "bias_term", "total",
@@ -657,8 +659,7 @@ class TestThinAdapter:
         for row, c in zip(rows, certs):
             _assert_cells(row, [c.delta, 2.0, 1.0, c.h, c.noise_term, c.bias_term, c.total,
                                 c.empirical_lower, c.passed])
-        assert [c.passed for c in certs] == ([True, True] if boundary == "sound"
-                                             else [True, False])
+        assert [c.passed for c in certs] == [boundary == "sound"] * 2
 
     def test_varmin_row_equals_module_output(self, tmp_path):
         out = tmp_path / "v.csv"
@@ -698,6 +699,33 @@ def test_trig_truth_is_seeded_and_scaled_into_the_ball():
         assert norm == pytest.approx(0.999 * spec.m_a, rel=1e-12)
     assert run(["certify-diff", "--n", "257", "--a", "1.5", "--m", "1",
                 "--deltas", "1e-2,1e-3", "--truth", "trig", "--seed", "1"]) == 0
+
+
+def test_certify_diff_output_ignores_seed_truth_and_models(capsys):
+    # The lower bound is a class-wide witness: no truth, noise draw or seed
+    # reaches the CSV.
+    base = ["certify-diff", "--n", "257", "--a", "1.5", "--m", "1", "--deltas", "1e-2,1e-3"]
+    outs = set()
+    for extra in (["--seed", "0"], ["--seed", "3"], ["--seed", "77"],
+                  ["--truth", "quadratic"], ["--truth", "sin2pi"], ["--truth", "trig"],
+                  ["--models", "spike"], []):
+        assert run(base + extra) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("extra, phrase", [
+    (["--truth", "nope", "--samples", "0"], "unknown truth 'nope'"),
+    (["--samples", "0", "--models", "gaussian"], "samples must"),
+    (["--models", "gaussian", "--boundary", "central"], "unknown noise model 'gaussian'"),
+])
+def test_certify_diff_unused_flags_checked_in_order(extra, phrase, capsys, caplog):
+    code = run(["certify-diff", "--n", "257", "--a", "2", "--m", "1", "--deltas", "1e-3",
+                *extra])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+    assert len(errors) == 1 and phrase in errors[0]
 
 
 def test_stdout_emission(capsys):

@@ -160,13 +160,13 @@ def test_linear_certify_checks_every_delta_before_factorizing(monkeypatch):
 
 
 def test_diff_certify_checks_every_delta_before_any_membership(monkeypatch):
+    # Neither the witness's gate nor the norm that scales it runs before the
+    # last delta is checked.
     calls = _recording(numdiff, "membership", monkeypatch)
-    grid = Grid(257)
-    truth = SampledFunction(grid, 0.1 * grid.nodes**2)
-    models = ["alternating", "spike", "smooth", "seeded-uniform"]
+    norms = _recording(numdiff, "holder_norm", monkeypatch)
     with pytest.raises(InvalidParameterError, match="got nan"):
-        numdiff.certify(truth, _SPEC, [1e-2, np.nan], models)
-    assert calls == []
+        numdiff.certify(Grid(257), _SPEC, [1e-2, np.nan])
+    assert calls == [] and norms == []
 
 
 # Each shared rule's message, which only its check in errors.py may write.

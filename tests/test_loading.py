@@ -1,6 +1,6 @@
 """What a process loads: `import regcert` loads numpy and no submodule, its
 public names load their submodule on first use, and each CLI subcommand
-imports only the modules it calls.
+imports only the modules it calls (and numpy.random only if it draws).
 
 Each case runs in a fresh interpreter, since a module once imported stays in
 sys.modules.
@@ -27,11 +27,11 @@ def _run(args: list[str]) -> subprocess.CompletedProcess:
 
 
 def _cli_imports(argv: list[str]) -> set[str]:
-    """The regcert modules a ``python -m regcert.cli`` run imports."""
+    """The modules a ``python -m regcert.cli`` run imports."""
     proc = _run(["-X", "importtime", "-m", "regcert.cli", *argv])
     assert proc.returncode == 0, proc.stderr
     # -X importtime writes one "import time: ... | module" line per import.
-    return set(re.findall(r"^import time:.*\|\s*(regcert(?:\.\w+)?)\s*$", proc.stderr, re.M))
+    return set(re.findall(r"^import time:.*\|\s*([\w.]+)\s*$", proc.stderr, re.M))
 
 
 @pytest.mark.parametrize("argv", [
@@ -43,6 +43,21 @@ def test_differentiation_runs_load_no_linear_module(argv):
     loaded = _cli_imports(argv)
     assert "regcert.numdiff" in loaded
     assert not loaded & {"regcert.linreg", "regcert.varreg", "regcert.spectral"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-diff", "--n", "1025", "--a", "1.5", "--m", "1", "--deltas", "1e-2:1e-5:log4",
+     "--samples", "4", "--truth", "trig", "--seed", "1"],
+    ["witness", "--n", "257", "--a", "1.5", "--m", "1", "--deltas", "1e-3"],
+    ["certify-linear", "--problem", "rotated-diagonal", "--n", "8", "--p", "0.5", "--k", "1",
+     "--trials", "2", "--deltas", "1e-2"],
+], ids=["certify-diff", "witness", "certify-linear"])
+def test_certificates_load_no_random_module(argv):
+    # None of these draws anything, and numpy.random with its secrets/hashlib
+    # chain is a sizeable part of a short process's memory.
+    loaded = _cli_imports(argv)
+    assert "numpy" in loaded
+    assert "numpy.random" not in loaded
 
 
 def test_study_loads_no_differentiation_module():

@@ -23,11 +23,13 @@ from regcert.errors import (
     BOUND_TOL,
     EmptyAdmissibleSetError,
     InvalidParameterError,
+    RegcertError,
     ResolutionError,
     StepTooLargeError,
     UnsupportedExponentError,
 )
 from regcert import cli
+from regcert.function_space import grid_derivative
 from regcert.numdiff import certify
 from conftest import scaled_truth
 
@@ -425,48 +427,34 @@ class TestCertify:
     def test_one_certificate_per_delta(self):
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
-        u = scaled_truth(g, spec, g.nodes**2)
         deltas = [1e-3, 1e-4]
-        certs = certify(u, spec, deltas, ["spike", "smooth"], seed=4)
+        certs = certify(g, spec, deltas)
         assert [c.delta for c in certs] == deltas
         for c in certs:
             budget = error_budget(c.delta, spec, g)
             assert (c.h, c.noise_term, c.bias_term, c.total) == (
                 budget.h, budget.noise_term, budget.bias_term, budget.total)
-            # The truth anchors every cell, so its error is a floor.
-            assert c.empirical_lower > 0.0
+            assert c.empirical_lower == numdiff._worst_case(g, spec, c.delta)
             assert c.passed == (c.empirical_lower <= c.total * BOUND_TOL)
-        assert certify(u, spec, deltas, ["spike", "smooth"], seed=4) == certs
+        assert certify(g, spec, deltas) == certs
 
     def test_one_membership_call_per_candidate(self, monkeypatch):
-        # Per (delta, model): one gate call, inside empirical_sup_error, on
-        # the truth alone.
+        # Per delta: one strict gate call, on that delta's witness alone.
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
-        u = scaled_truth(g, spec, g.nodes**2)
         calls = []
         real = numdiff.membership
 
-        def counting(v, data, spec):
-            calls.append(v)
-            return real(v, data, spec)
+        def counting(v, data, spec, tol=BOUND_TOL):
+            calls.append((v, data.delta, tol))
+            return real(v, data, spec, tol)
 
         monkeypatch.setattr(numdiff, "membership", counting)
-        deltas, models = [1e-3, 1e-4], ["spike", "smooth"]
-        certify(u, spec, deltas, models, seed=2)
-        assert len(calls) == len(deltas) * len(models)
-        assert all(v is u for v in calls)
-
-    def test_out_of_class_truth_raises(self):
-        # A truth outside the class ball fails the gate for its own data, so
-        # the cell has no admissible solution to measure.
-        g = Grid(257)
-        spec = HolderSpec(1.5, 1.0)
-        u = scaled_truth(g, HolderSpec(1.5, 1.05), np.sin(2 * np.pi * g.nodes))
-        data = add_noise(integrate_volterra(u), 1e-2, "spike", 3)
-        assert not membership(u, data, spec).ok
-        with pytest.raises(EmptyAdmissibleSetError, match="no candidate passed admissibility"):
-            certify(u, spec, [1e-2], ["spike", "smooth"], seed=3)
+        deltas = [1e-3, 1e-4]
+        certify(g, spec, deltas)
+        assert [(delta, tol) for _, delta, tol in calls] == [(d, 1.0) for d in deltas]
+        # v* does not depend on delta.
+        assert np.array_equal(calls[0][0].values, calls[1][0].values)
 
     @pytest.mark.parametrize("argv", [
         ["--n", "4097", "--a", "2", "--m", "1", "--deltas", "1e-2:1e-5:log4",
@@ -475,31 +463,140 @@ class TestCertify:
          "--samples", "4", "--truth", "quadratic", "--seed", "1"],
     ], ids=["readme", "diff-sweep-a15"])
     def test_cli_lower_bound_is_truth_distance(self, argv, tmp_path):
-        # certify-diff's empirical_lower is the regularizer's sup distance to
-        # the truth, maximized over the noise models, bit for bit.
+        # certify-diff's empirical_lower is the witness's error, bit for bit,
+        # and no less than the regularizer's sup distance to the truth under
+        # any of the noise models.
         out = tmp_path / "certs.csv"
         assert cli.run(["certify-diff", *argv, "--out", str(out)]) == 0
         cfg = cli.resolve_config(["certify-diff", *argv])
         p, seed = cfg.params, cfg.seed
         spec = HolderSpec(p["a"], p["m"])
-        truth = cli.make_truth(p["truth"], Grid(p["n"]), spec, seed)
+        grid = Grid(p["n"])
+        truth = cli.make_truth(p["truth"], grid, spec, seed)
         f = integrate_volterra(truth)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == len(p["deltas"])
         for delta, row in zip(p["deltas"], rows):
-            expected = max(
+            on_truth = max(
                 sup_distance(differentiate(add_noise(f, delta, model, seed), spec), truth)
                 for model in p["models"]
             )
-            assert float(row[7]) == expected
+            assert float(row[7]) == numdiff._worst_case(grid, spec, delta)
+            assert float(row[7]) >= on_truth
 
-    def test_lower_bound_is_max_over_models(self):
-        g = Grid(513)
-        spec = HolderSpec(2.0, 1.0)
-        u = scaled_truth(g, spec, g.nodes**2)
-        both = certify(u, spec, [1e-3], ["spike", "smooth"], seed=1)[0]
-        spike = certify(u, spec, [1e-3], ["spike"], seed=1)[0]
-        assert both.empirical_lower >= spike.empirical_lower
+
+# Every certify-diff cell of the benchmark's diff-sweep workload and of the
+# tests: (n, a, deltas, boundary).
+_LOG4 = [float(d) for d in np.geomspace(1e-2, 1e-5, 4)]
+_CERTIFY_DIFF_CELLS = [
+    (1025, 1.5, _LOG4, "sound"),
+    (4097, 2.0, _LOG4, "sound"),
+    (4097, 2.0, _LOG4, "paper"),
+    (4097, 2.0, [1e-3, 1e-4], "paper"),
+    (513, 2.0, [1e-2, 1e-3, 1e-4], "sound"),
+    (257, 1.5, [1e-2, 1e-3], "sound"),
+    (65, 1.5, [1e-3], "sound"),
+    (1025, 1.5, [1e-10], "sound"),
+    (4097, 2.0, [1e-10], "sound"),
+    (257, 1.2, [1e-10], "sound"),
+]
+
+
+def _rebuilt_witness(grid, spec, delta, boundary):
+    """v* and the data f* = integral of v* + e*, built from their formulas."""
+    x = grid.nodes
+    ramp = SampledFunction(grid, x - 0.5)
+    v = SampledFunction(grid, (1.0 - 1e-8) * spec.m_a / holder_norm(ramp, spec.a) * (x - 0.5))
+    f = integrate_volterra(v).values
+    s = 1.0 - 4.0 * np.finfo(float).eps * (np.max(np.abs(f)) + delta) / delta
+    k = 2 if boundary == "sound" else 1
+    m = round(error_budget(delta, spec, grid).h / grid.dx)
+    e = np.zeros(grid.n)
+    e[0], e[k * m] = -s * delta, s * delta
+    return v, f, e
+
+
+class TestWorstCase:
+    @pytest.mark.parametrize("n, a, deltas, boundary", _CERTIFY_DIFF_CELLS)
+    def test_witness_passes_its_strict_check(self, n, a, deltas, boundary):
+        grid, spec = Grid(n), HolderSpec(a, 1.0)
+        for delta in deltas:
+            got = numdiff._worst_case(grid, spec, delta, boundary)
+            budget = error_budget(delta, spec, grid)
+            # Node 0 reads at least the noise term (twice it on the paper
+            # stencil), up to the rounding guard, plus a bias of one sign.
+            assert got > budget.noise_term * 0.99
+            if boundary == "sound":
+                assert got <= budget.total
+
+    @pytest.mark.parametrize("n, a, delta, boundary", [
+        (1025, 1.5, 1e-3, "sound"), (4097, 2.0, 1e-2, "paper"), (257, 1.2, 1e-4, "sound"),
+        (65, 1.5, 1e-3, "paper"),
+    ])
+    def test_check_refuses_1e_12_over_either_bound(self, n, a, delta, boundary):
+        grid, spec = Grid(n), HolderSpec(a, 1.0)
+        v, f, e = _rebuilt_witness(grid, spec, delta, boundary)
+        data = NoisyData(SampledFunction(grid, f + e), delta)
+        assert numdiff._worst_case(grid, spec, delta, boundary) == sup_distance(
+            differentiate(data, spec, boundary), v)
+
+        # v* scaled to 1 + 1e-12 over the norm bound: the tolerant gate
+        # admits it, the witness check does not.
+        over = SampledFunction(grid, v.values * ((1.0 + 1e-12) * spec.m_a / holder_norm(v, a)))
+        data = NoisyData(SampledFunction(grid, integrate_volterra(over).values + e), delta)
+        got = membership(over, data, spec)
+        assert got.ok and got.residual <= delta
+        assert spec.m_a < got.norm <= spec.m_a * BOUND_TOL
+        with pytest.raises(RegcertError, match="admissibility check"):
+            numdiff._witness_error(over, data, spec, boundary)
+
+        # e* at 1 + 1e-12 times delta.
+        wide = e * ((1.0 + 1e-12) * delta / np.max(np.abs(e)))
+        data = NoisyData(SampledFunction(grid, f + wide), delta)
+        got = membership(v, data, spec)
+        assert got.ok and got.norm <= spec.m_a
+        assert delta < got.residual <= delta * BOUND_TOL
+        with pytest.raises(RegcertError, match="admissibility check"):
+            numdiff._witness_error(v, data, spec, boundary)
+
+    @pytest.mark.parametrize("boundary", ["sound", "paper"])
+    @pytest.mark.parametrize("a", [1.5, 2.0])
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_lp_oracle_bounds_the_witness(self, n, a, boundary):
+        # The class-wide worst case at node 0 as a linear program over
+        # (v, e, t1, t2): the error (R (I v + e))_0 - v_0 with |e_i| <= delta,
+        # and holder_norm's grid definition, max |v_i| + |d_i| <= t1, every
+        # pair |d_j - d_i| <= t2 ((j - i) dx)^(a - 1) and t1 + t2 <= M, with
+        # d = grid_derivative(v).  R, I and d are the library's own linear maps.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        grid, spec = Grid(n), HolderSpec(a, 1.0)
+        eye = np.eye(n)
+        d = np.column_stack([grid_derivative(SampledFunction(grid, col)) for col in eye])
+        integral = np.column_stack(
+            [integrate_volterra(SampledFunction(grid, col)).values for col in eye])
+        i, j = np.triu_indices(n, 1)
+        pair = d[j] - d[i]
+        lag = ((j - i) * grid.dx) ** (a - 1.0)
+        zeros, ones = np.zeros((n, n)), np.ones((n, 1))
+        rows = [np.hstack([s1 * eye + s2 * d, zeros, -ones, np.zeros((n, 1))])
+                for s1 in (1, -1) for s2 in (1, -1)]
+        rows += [np.hstack([sign * pair, np.zeros((len(i), n + 1)), -lag[:, None]])
+                 for sign in (1, -1)]
+        rows.append(np.r_[np.zeros(2 * n), 1.0, 1.0][None, :])
+        a_ub = np.vstack(rows)
+        b_ub = np.zeros(len(a_ub))
+        b_ub[-1] = spec.m_a
+        for delta in (1e-2, 3e-3, 1e-3):
+            r0 = np.array([differentiate(NoisyData(SampledFunction(grid, col), delta), spec,
+                                         boundary).values[0] for col in eye])
+            gain = np.r_[r0 @ integral - eye[0], r0, 0.0, 0.0]
+            bounds = [(None, None)] * n + [(-delta, delta)] * n + [(0.0, None)] * 2
+            res = linprog(-gain, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+            assert res.status == 0, res.message
+            witness = numdiff._worst_case(grid, spec, delta, boundary)
+            assert -res.fun >= witness * (1.0 - 1e-9)
+            if boundary == "sound":
+                assert -res.fun <= error_budget(delta, spec, grid).total * BOUND_TOL
 
 
 def test_budget_dominance_guaranteed_models():
