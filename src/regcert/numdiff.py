@@ -195,18 +195,16 @@ def error_budget(delta: float, spec: HolderSpec, grid: Optional[Grid] = None) ->
     return DiffErrorBudget(h=h, noise_term=noise, bias_term=bias, total=noise + bias, rate_bound=rate)
 
 
-def membership(
-    v: SampledFunction, data: NoisyData, spec: HolderSpec, tol: float = BOUND_TOL
-) -> Membership:
+def membership(v: SampledFunction, data: NoisyData, spec: HolderSpec) -> Membership:
     """Is v an admissible solution for (f_delta, delta, class)?
 
     residual = sup |cumulative integral of v - f_delta|, norm = grid
     smoothness norm; both must sit within their bounds up to the factor
-    ``tol``: BOUND_TOL = 1 + 1e-9 by default, 1 for a strict check.
+    BOUND_TOL = 1 + 1e-9.
     """
     residual = sup_distance(integrate_volterra(v), data.f_delta)
     norm = holder_norm(v, spec.a)
-    ok = residual <= data.delta * tol and norm <= spec.m_a * tol
+    ok = residual <= data.delta * BOUND_TOL and norm <= spec.m_a * BOUND_TOL
     return Membership(bool(ok), residual, norm)
 
 
@@ -351,37 +349,50 @@ def empirical_sup_error(
     return max(sup_distance(r_out, v) for v in accepted)
 
 
-def _worst_case(grid: Grid, spec: HolderSpec, delta: float, boundary: str = "sound") -> float:
+def _slope(grid: Grid, spec: HolderSpec) -> tuple[SampledFunction, SampledFunction]:
+    """The delta-independent half of ``_worst_case``'s witness: v* = c (x - 1/2),
+    c = (1 - 1e-8) m_a / holder_norm(x - 1/2), and its integral."""
+    ramp = grid.nodes - 0.5
+    c = (1.0 - 1e-8) * spec.m_a / holder_norm(SampledFunction(grid, ramp), spec.a)
+    v = SampledFunction(grid, c * ramp)
+    return v, integrate_volterra(v)
+
+
+def _worst_case(
+    slope: tuple[SampledFunction, SampledFunction],
+    spec: HolderSpec,
+    delta: float,
+    boundary: str = "sound",
+) -> float:
     """Error of the regularizer on an explicit admissible pair (v*, f*), the
     optimal-recovery construction of Micchelli & Rivlin 1977: up to its
     inward margins, its node-0 error is the largest over every admissible
     pair (a linear program over all of them agrees to 5e-9 at n <= 65).
 
-    v* = c (x - 1/2), c = (1 - 1e-8) m_a / holder_norm(x - 1/2), and
-    f* = integral of v* + e*, with e* = -s delta at node 0, +s delta at node
-    k m and zero elsewhere: m is the snapped step in nodes, k the one-sided
-    step of ``boundary``'s stencil and s = ``noise_shrink``.  At node 0 the
+    ``slope`` is (v*, integral of v*) from ``_slope``, and f* = integral of
+    v* + e*, with e* = -s delta at node 0, +s delta at node k m and zero
+    elsewhere: m is the snapped step in nodes, k the one-sided step of
+    ``boundary``'s stencil and s = ``noise_shrink``.  At node 0 the
     one-sided quotient then reads the noise 2 s delta/(k h) and the bias
     c k h / 2 with one sign.  The pair counts only if the residual is within
     delta and the norm within m_a as computed, with no tolerance; otherwise
     RegcertError is raised.
     """
-    k, m, _ = _one_sided_step(delta, spec, grid, boundary)
-    ramp = grid.nodes - 0.5
-    c = (1.0 - 1e-8) * spec.m_a / holder_norm(SampledFunction(grid, ramp), spec.a)
-    v = SampledFunction(grid, c * ramp)
-    f = integrate_volterra(v)
+    v, f = slope
+    k, m, _ = _one_sided_step(delta, spec, v.grid, boundary)
     s = noise_shrink(f, delta)
-    e = np.zeros(grid.n)
+    e = np.zeros(v.grid.n)
     e[0], e[k * m] = -s * delta, s * delta
-    return _witness_error(v, NoisyData(SampledFunction(grid, f.values + e), delta), spec, boundary)
+    data = NoisyData(SampledFunction(v.grid, f.values + e), delta)
+    return _witness_error(v, data, spec, boundary)
 
 
 def _witness_error(v: SampledFunction, data: NoisyData, spec: HolderSpec, boundary: str) -> float:
-    """Sup distance from the regularized derivative of ``data`` to v, once v
-    passes ``membership`` with no tolerance; RegcertError otherwise."""
-    got = membership(v, data, spec, tol=1.0)
-    if not got.ok:
+    """Sup distance from the regularized derivative of ``data`` to v, once
+    v's residual and norm, as ``membership`` computes them, sit within delta
+    and m_a with no tolerance; RegcertError otherwise."""
+    got = membership(v, data, spec)
+    if not (got.residual <= data.delta and got.norm <= spec.m_a):
         raise RegcertError(
             f"the worst-case witness failed its admissibility check: residual={got.residual!r} "
             f"(delta={data.delta!r}), norm={got.norm!r} (bound={spec.m_a!r})"
@@ -399,15 +410,17 @@ def certify(
 
     Per delta the upper bound is the budget total, and the lower bound the
     error on the checked class-wide witness of ``_worst_case``, which needs
-    no truth and no data.  Every count, the stencil and every delta
+    no truth and no data; its delta-independent half (``_slope``) is built
+    once per call.  Every count, the stencil and every delta
     (through its budget) are checked before any norm is computed.
     """
     count(len(deltas), "number of deltas")
     choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
     budgets = [error_budget(delta, spec, grid) for delta in deltas]
+    slope = _slope(grid, spec)
     return [
         Certificate(
             float(delta), float(spec.a), float(spec.m_a), budget.h, budget.noise_term,
-            budget.bias_term, budget.total, _worst_case(grid, spec, delta, boundary))
+            budget.bias_term, budget.total, _worst_case(slope, spec, delta, boundary))
         for delta, budget in zip(deltas, budgets)
     ]

@@ -284,7 +284,7 @@ class TestExitCodes:
         on_truth = max(sup_distance(differentiate(add_noise(f, 1e-10, model, 1), spec), truth)
                        for model in ("alternating", "spike", "smooth", "seeded-uniform"))
         _, rows = _rows(out)
-        assert float(rows[0][7]) == numdiff._worst_case(Grid(n), spec, 1e-10)
+        assert float(rows[0][7]) == numdiff._worst_case(numdiff._slope(Grid(n), spec), spec, 1e-10)
         assert float(rows[0][7]) >= on_truth
 
     def test_certify_linear_bytes(self, capsys):

@@ -434,27 +434,34 @@ class TestCertify:
             budget = error_budget(c.delta, spec, g)
             assert (c.h, c.noise_term, c.bias_term, c.total) == (
                 budget.h, budget.noise_term, budget.bias_term, budget.total)
-            assert c.empirical_lower == numdiff._worst_case(g, spec, c.delta)
+            assert c.empirical_lower == numdiff._worst_case(numdiff._slope(g, spec), spec, c.delta)
             assert c.passed == (c.empirical_lower <= c.total * BOUND_TOL)
         assert certify(g, spec, deltas) == certs
 
     def test_one_membership_call_per_candidate(self, monkeypatch):
-        # Per delta: one strict gate call, on that delta's witness alone.
+        # Per delta: one gate call, on that delta's witness alone; v* is built
+        # once per call, so holder_norm runs once for its scale and once per
+        # delta in the check.
         g = Grid(513)
         spec = HolderSpec(2.0, 1.0)
-        calls = []
-        real = numdiff.membership
+        calls, norms = [], []
+        real, real_norm = numdiff.membership, numdiff.holder_norm
 
-        def counting(v, data, spec, tol=BOUND_TOL):
-            calls.append((v, data.delta, tol))
-            return real(v, data, spec, tol)
+        def counting(v, data, spec):
+            calls.append((v, data.delta))
+            return real(v, data, spec)
+
+        def counting_norm(v, a):
+            norms.append(v)
+            return real_norm(v, a)
 
         monkeypatch.setattr(numdiff, "membership", counting)
-        deltas = [1e-3, 1e-4]
+        monkeypatch.setattr(numdiff, "holder_norm", counting_norm)
+        deltas = [1e-3, 1e-4, 1e-5]
         certify(g, spec, deltas)
-        assert [(delta, tol) for _, delta, tol in calls] == [(d, 1.0) for d in deltas]
-        # v* does not depend on delta.
-        assert np.array_equal(calls[0][0].values, calls[1][0].values)
+        assert [delta for _, delta in calls] == deltas
+        assert all(v is calls[0][0] for v, _ in calls)
+        assert len(norms) == len(deltas) + 1
 
     @pytest.mark.parametrize("argv", [
         ["--n", "4097", "--a", "2", "--m", "1", "--deltas", "1e-2:1e-5:log4",
@@ -481,7 +488,7 @@ class TestCertify:
                 sup_distance(differentiate(add_noise(f, delta, model, seed), spec), truth)
                 for model in p["models"]
             )
-            assert float(row[7]) == numdiff._worst_case(grid, spec, delta)
+            assert float(row[7]) == numdiff._worst_case(numdiff._slope(grid, spec), spec, delta)
             assert float(row[7]) >= on_truth
 
 
@@ -521,7 +528,7 @@ class TestWorstCase:
     def test_witness_passes_its_strict_check(self, n, a, deltas, boundary):
         grid, spec = Grid(n), HolderSpec(a, 1.0)
         for delta in deltas:
-            got = numdiff._worst_case(grid, spec, delta, boundary)
+            got = numdiff._worst_case(numdiff._slope(grid, spec), spec, delta, boundary)
             budget = error_budget(delta, spec, grid)
             # Node 0 reads at least the noise term (twice it on the paper
             # stencil), up to the rounding guard, plus a bias of one sign.
@@ -537,8 +544,8 @@ class TestWorstCase:
         grid, spec = Grid(n), HolderSpec(a, 1.0)
         v, f, e = _rebuilt_witness(grid, spec, delta, boundary)
         data = NoisyData(SampledFunction(grid, f + e), delta)
-        assert numdiff._worst_case(grid, spec, delta, boundary) == sup_distance(
-            differentiate(data, spec, boundary), v)
+        got = numdiff._worst_case(numdiff._slope(grid, spec), spec, delta, boundary)
+        assert got == sup_distance(differentiate(data, spec, boundary), v)
 
         # v* scaled to 1 + 1e-12 over the norm bound: the tolerant gate
         # admits it, the witness check does not.
@@ -593,7 +600,7 @@ class TestWorstCase:
             bounds = [(None, None)] * n + [(-delta, delta)] * n + [(0.0, None)] * 2
             res = linprog(-gain, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
             assert res.status == 0, res.message
-            witness = numdiff._worst_case(grid, spec, delta, boundary)
+            witness = numdiff._worst_case(numdiff._slope(grid, spec), spec, delta, boundary)
             assert -res.fun >= witness * (1.0 - 1e-9)
             if boundary == "sound":
                 assert -res.fun <= error_budget(delta, spec, grid).total * BOUND_TOL
