@@ -352,8 +352,7 @@ def _run_certify_linear(cfg: RunConfig) -> int:
     problem = spectral.ProblemSpec(kind=p["problem"], n=p["n"], q=p["q"], seed=cfg.seed)
     source = linreg.SourceSpec(p=p["p"], k_p=p["k"])
     count(p["trials"], "trials")
-    count(p["threads"], "threads")
-    certs = linreg.certify(problem, source, p["deltas"])
+    certs = linreg.certify(problem, source, p["deltas"], threads=p["threads"])
     return _write_certificates(certs, cfg.out)
 
 

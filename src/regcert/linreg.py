@@ -16,7 +16,7 @@ from __future__ import annotations
 # ThreadPoolExecutor is not used here: the benchmark's tracer rebinds linreg's name.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -221,11 +221,14 @@ def _worst_case(svd: Spectrum, source: SourceSpec, delta: float, a: float):
 # ---------------------------------------------------------------------------
 # Worst-case search over the admissible set, for given data
 
-# In V-coordinates z = V^T y the two constraints are axis-aligned:
-#   source ellipsoid   sum c_i z_i^2 <= k^2          with c_i = s_i^-2p
-#   data ellipsoid     sum (sigma_i z_i - g_i)^2 <= delta_eff^2
-# and the objective ||z - rho||, rho the filtered data, is maximized by
-# multi-start projected gradient ascent with Dykstra alternating projections.
+# In V-coordinates z = V^T y over the positive modes, the admissible set
+# S(f_delta) is the intersection of two axis-aligned ellipsoids, each written
+# once as ||a * z - b||^2 <= r^2 (an _Ellipsoid):
+#   source ellipsoid   a = s^-p,   b = 0,   r^2 = k^2
+#   data ellipsoid     a = sigma,  b = g,   r^2 = delta_eff^2
+# with g = U^T f_delta.  The objective ||z - rho||, rho the filtered data, is
+# maximized by multi-start projected gradient ascent with Dykstra alternating
+# projections (Boyle & Dykstra 1986) onto the two.
 #
 # Every routine below acts on an (R, n) array of rows, one row per restart
 # of the search.  A row's result never depends on its neighbours: a row sum
@@ -278,77 +281,69 @@ def _shrink_root(r2: np.ndarray, w: np.ndarray, bound_sq) -> np.ndarray:
     return mu
 
 
-# The two projections write the rows over their bound into z and return it.
+class _Ellipsoid(NamedTuple):
+    """The set ||a * z - b||^2 <= r_sq of rows z, with a > 0."""
 
-def _project_source(z: np.ndarray, c: np.ndarray, k_sq: float) -> np.ndarray:
-    cz2 = c * z * z
-    over = ~(cz2.sum(axis=1) <= k_sq)
+    a: np.ndarray
+    b: np.ndarray | float
+    r_sq: float
+
+
+def _project(z: np.ndarray, e: _Ellipsoid) -> np.ndarray:
+    """Write the nearest point of e into each row of z outside it; returns z.
+
+    That point is (z + mu a b)/(1 + mu a^2), with mu >= 0 from _shrink_root.
+    """
+    a, b, r_sq = e
+    r2 = np.square(a * z - b)
+    over = ~(r2.sum(axis=1) <= r_sq)
     if over.any():
-        mu = _shrink_root(cz2[over], c, k_sq)
-        z[over] = z[over] / (1.0 + mu[:, None] * c)
+        w = a * a
+        mu = _shrink_root(r2[over], w, r_sq)[:, None]
+        z[over] = (z[over] + mu * a * b) / (1.0 + mu * w)
     return z
 
 
-def _project_data(z: np.ndarray, sigma: np.ndarray, s: np.ndarray, g: np.ndarray,
-                  delta_sq: np.ndarray) -> np.ndarray:
-    r2 = np.square(sigma * z - g)
-    over = ~(r2.sum(axis=1) <= delta_sq)
-    if over.any():
-        nu = _shrink_root(r2[over], s, delta_sq[over])[:, None]
-        z[over] = (z[over] + nu * sigma * g[over]) / (1.0 + nu * s)
-    return z
+def _feasible(z: np.ndarray, sets, tol=BOUND_TOL) -> np.ndarray:
+    """Per row: is z in every ellipsoid of sets, each r_sq relaxed to r_sq * tol + 1e-300?"""
+    return np.logical_and.reduce(
+        [np.square(a * z - b).sum(axis=1) <= r_sq * tol + 1e-300 for a, b, r_sq in sets])
 
 
-def _project_intersection(z0, c, k_sq, sigma, s, g, delta_sq, sweeps, tol):
-    """Dykstra alternating projections onto the two ellipsoids, per row.
+def _project_intersection(z0, sets, sweeps, tol):
+    """Dykstra alternating projections onto sets = (source, data), per row.
 
     The projected rows are written into z0, which is returned.
     """
-    live = np.flatnonzero(~_feasible(z0, c, k_sq, sigma, g, delta_sq, tol=1.0))
-    z, g, delta_sq = z0[live], g[live], delta_sq[live]
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
+    live = np.flatnonzero(~_feasible(z0, sets, tol=1.0))
+    z = z0[live]
+    p, q = np.zeros_like(z), np.zeros_like(z)
     for _ in range(sweeps):
         if not live.size:
             break
-        y = _project_source(z + p, c, k_sq)
+        y = _project(z + p, sets[0])
         p += z - y
-        z_new = _project_data(y + q, sigma, s, g, delta_sq)
+        z_new = _project(y + q, sets[1])
         q += y - z_new
         done = np.max(np.abs(z_new - z), axis=1) < tol
         z = z_new
         if done.any():
             z0[live[done]] = z[done]
             keep = ~done
-            live, z, p, q, g, delta_sq = (
-                live[keep], z[keep], p[keep], q[keep], g[keep], delta_sq[keep])
+            live, z, p, q = live[keep], z[keep], p[keep], q[keep]
     z0[live] = z
     return z0
 
 
-def _feasible(z, c, k_sq, sigma, g, delta_sq, tol=BOUND_TOL) -> np.ndarray:
-    r = sigma * z - g
-    return (
-        ((c * z * z).sum(axis=1) <= k_sq * tol)
-        & ((r * r).sum(axis=1) <= delta_sq * tol + 1e-300)
-    )
-
-
-def _objective(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    d = z - rho
-    return np.sqrt((d * d).sum(axis=1))
-
-
 @dataclass(frozen=True)
 class _Search:
-    """One search in positive-mode coordinates, with its unprojected starts."""
+    """One search in positive-mode coordinates: S(f_delta) as sets, rho and the starts."""
 
-    g: np.ndarray
+    sets: tuple[_Ellipsoid, _Ellipsoid]  # (source, data)
     rho: np.ndarray
     anchor: np.ndarray
-    delta_sq: float
     scale: float
-    starts: np.ndarray  # (restarts, n); row 0 is the anchor
+    starts: np.ndarray  # (restarts, n); row 0 is the anchor, all unprojected
     rng: np.random.Generator
 
 
@@ -368,13 +363,9 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
     res0_sq = float(np.sum(g_full[~pos] ** 2))
     delta_eff_sq = delta**2 - res0_sq
     if delta_eff_sq < 0.0:
-        raise InfeasibleError(
-            "data has more null-space content than the noise radius allows"
-        )
-    sigma = svd.sigma[pos]
-    s = svd.s[pos]
-    g = g_full[pos]
-    rho = rho_full[pos]
+        raise InfeasibleError("data has more null-space content than the noise radius allows")
+    sigma, s = svd.sigma[pos], svd.s[pos]
+    g, rho = g_full[pos], rho_full[pos]
     k_sq = source.k_p**2
     if sigma.size == 0:
         return 0.0
@@ -412,10 +403,12 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
             f"exceeds the noise radius {np.sqrt(max(delta_eff_sq, 0.0)):.3g}"
         )
 
+    sets = (_Ellipsoid(s ** -source.p, 0.0, k_sq), _Ellipsoid(sigma, g, delta_eff_sq))
     if svd.n == 1:
-        half = source.k_p * s[0] ** source.p
-        lo = max(-half, (g[0] - np.sqrt(delta_eff_sq)) / sigma[0])
-        hi = min(half, (g[0] + np.sqrt(delta_eff_sq)) / sigma[0])
+        # Each ellipsoid is the interval |a z - b| <= r; the distance to rho,
+        # convex along their intersection, peaks at one of its ends.
+        lo = max(np.max((e.b - np.sqrt(e.r_sq)) / e.a) for e in sets)
+        hi = min(np.min((e.b + np.sqrt(e.r_sq)) / e.a) for e in sets)
         if lo > hi:
             raise InfeasibleError("feasible interval is empty")
         return float(max(abs(lo - rho[0]), abs(hi - rho[0])))
@@ -423,57 +416,49 @@ def _prepare(svd, source, f_delta, delta, a, restarts, seed) -> _Search | float:
     starts = [anchor]
     # Push along the most noise-amplified direction first.
     j_star = int(np.argmax(sigma / (s + a)))
+    reach = source.k_p * s**source.p  # the source ellipsoid's semi-axes
     for sign in (1.0, -1.0):
         e = anchor.copy()
-        e[j_star] = sign * source.k_p * s[j_star] ** source.p
+        e[j_star] = sign * reach[j_star]
         starts.append(e)
     rng = rng_from(seed)
     while len(starts) < restarts:
         d = rng.standard_normal(sigma.size)
-        r = source.k_p * s**source.p * d / max(float(np.linalg.norm(d)), 1e-300)
-        starts.append(anchor + r)
+        starts.append(anchor + reach * d / max(float(np.linalg.norm(d)), 1e-300))
 
-    scale = max(float(np.linalg.norm(anchor - rho)), source.k_p * float(np.max(s**source.p)), 1e-12)
-    return _Search(g, rho, anchor, delta_eff_sq, scale, np.array(starts[:restarts]), rng)
+    scale = max(float(np.linalg.norm(anchor - rho)), float(np.max(reach)), 1e-12)
+    return _Search(sets, rho, anchor, scale, np.array(starts[:restarts]), rng)
 
 
-def _ascend(svd: SvdTriple, source: SourceSpec, search: _Search) -> float:
+def _ascend(search: _Search) -> float:
     """Run every restart of the search as one row, at most 30 steps; the best value.
 
-    A row whose ascent direction vanishes (distance to rho below 1e-15 of
-    the scale) is redirected along a standard normal draw from the search's
-    generator; the rows that need one within a step draw in row order.
+    Every projection and feasibility test reads the two ellipsoids of
+    search.sets.  A row whose ascent direction vanishes (distance to rho
+    below 1e-15 of the scale) is redirected along a standard normal draw
+    from the search's generator; the rows that need one within a step draw
+    in row order.
     """
-    pos = svd.sigma > 0.0
-    sigma, s = svd.sigma[pos], svd.s[pos]
-    c = s ** (-2.0 * source.p)
-    k_sq = source.k_p**2
-    rho, anchor, scale = search.rho, search.anchor, search.scale
+    sets, rho, anchor, scale = search.sets, search.rho, search.anchor, search.scale
     z = search.starts.copy()
-    g = np.broadcast_to(search.g, z.shape)
-    delta_sq = np.full(len(z), search.delta_sq)
 
     # Loose projections steer the ascent cheaply; only the final point is
     # projected tightly and feasibility-checked before its value counts.
-    def project(z, rows, sweeps, tol):
-        return _project_intersection(z, c, k_sq, sigma, s, g[rows], delta_sq[rows], sweeps, tol)
-
     # Every start but the anchor (row 0) is projected.
-    pushed = np.arange(1, len(z))
-    z[pushed] = project(z[pushed], pushed, 3, 1e-8)
+    z[1:] = _project_intersection(z[1:], sets, 3, 1e-8)
 
     live = np.arange(len(z))
     zl = z.copy()
-    val = _objective(zl, rho)
+    val = _norms(zl - rho)
     step = np.full(len(z), 0.5)
     for _ in range(30):
         d = zl - rho
         nd = _norms(d)
         for i in np.flatnonzero(nd < 1e-15 * scale):
-            d[i] = search.rng.standard_normal(sigma.size)
+            d[i] = search.rng.standard_normal(rho.size)
             nd[i] = np.linalg.norm(d[i])
-        cand = project(zl + ((step * scale) / nd)[:, None] * d, live, 3, 1e-8)
-        v = _objective(cand, rho)
+        cand = _project_intersection(zl + ((step * scale) / nd)[:, None] * d, sets, 3, 1e-8)
+        v = _norms(cand - rho)
         up = v > val * (1.0 + 1e-14)
         zl[up], val[up] = cand[up], v[up]
         step = np.where(up, step * 1.4, step * 0.4)
@@ -486,20 +471,20 @@ def _ascend(svd: SvdTriple, source: SourceSpec, search: _Search) -> float:
                 break
     z[live] = zl
 
-    z = project(z, np.arange(len(z)), 30, 1e-12)
+    z = _project_intersection(z, sets, 30, 1e-12)
     # Soundness: only count a point if it is feasible (shrink toward the
     # strictly feasible anchor when projections left round-off violations).
     # Round k puts a row at 2^-k of its projected displacement from the anchor.
-    live = np.flatnonzero(~_feasible(z, c, k_sq, sigma, g, delta_sq))
+    live = np.flatnonzero(~_feasible(z, sets))
     reach = z[live] - anchor
     t = 1.0
     while live.size and t > 1e-6:
         t *= 0.5
         z[live] = anchor + t * reach
-        ok = _feasible(z[live], c, k_sq, sigma, g[live], delta_sq[live])
+        ok = _feasible(z[live], sets)
         live, reach = live[~ok], reach[~ok]
-    ok = _feasible(z, c, k_sq, sigma, g, delta_sq)
-    return max([0.0, *(float(v) for v in _objective(z, rho)[ok])])
+    ok = _feasible(z, sets)
+    return max([0.0, *(float(v) for v in _norms(z - rho)[ok])])
 
 
 def worst_case_search(
@@ -527,7 +512,7 @@ def worst_case_search(
     search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
     if isinstance(search, float):
         return search
-    return _ascend(svd, source, search)
+    return _ascend(search)
 
 
 def certify(

@@ -209,12 +209,14 @@ def minimize(
 
     Starts: the origin, the linearized regularized solution
     sigma^{-1}((B^T B + delta I)^{-1} B^T f_delta) and seeded random points
-    inside the phi ball, RESTARTS starts in all, read at the call.  Each
-    start first descends the residual until it clears delta, then descends
-    F itself with radial projection back into the ball; steps that break
-    feasibility are repaired or rejected.  Both phases follow closed-form
-    gradients of their objective; ``budget`` caps the descent iterations
-    per phase and start.  The starts run as the rows of one array
+    inside the phi ball, RESTARTS starts in all, read at the call.  Phase A
+    descends the residual for ``budget`` iterations per start, ending a
+    start early only when its gradient or its line search stalls; only the
+    starts whose residual is then within delta * BOUND_TOL go on.  Phase B
+    descends F itself with radial projection back into the ball, and a start
+    whose residual drifts past that tolerance descends the residual again;
+    only starts within it at the end count.  Both phases follow closed-form
+    gradients of their objective.  The starts run as the rows of one array
     (see _descend), each exactly as it would alone.
     """
     positive_finite(delta, "delta")

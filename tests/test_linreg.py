@@ -335,12 +335,99 @@ class TestWorstCaseSearch:
             return ok
 
         monkeypatch.setattr(linreg, "_feasible", forced)
-        got = linreg._ascend(tri, src, search)
+        got = linreg._ascend(search)
         assert len(seen) == 4  # initial check, two rounds, final check
         projected, (final, ok) = seen[0][0][1], seen[-1]
         assert np.array_equal(final[1], search.anchor + 0.25 * (projected - search.anchor))
         assert ok[1]
-        assert got >= linreg._objective(final[1:2], search.rho)[0]
+        assert got >= spectral._norms(final[1] - search.rho)
+
+
+class TestSearchFindsTheTruth:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("kind", ["volterra", "diagonal", "rotated-diagonal"])
+    def test_value_at_least_the_truths_error(self, kind, n):
+        # y = 0.9 times a source-set member and ||e|| = 0.9 delta make y
+        # admissible for f_delta = A y + e, so the sup the search estimates
+        # is at least y's own error ||R f_delta - y||.
+        m, tri = make_problem(ProblemSpec(kind, n, seed=2))
+        cells = [(p, delta) for p in (0.25, 0.5, 0.75) for delta in (1e-4, 1e-2, 0.2)]
+        for i, (p, delta) in enumerate(cells):
+            src = SourceSpec(p, 1.0)
+            a = choose_a(delta, src)
+            y = 0.9 * sample_source_set(tri, src, 1, seed=i)[0]
+            e = rng_from(n, i).standard_normal(n)
+            f = m @ y + e * (0.9 * delta / np.linalg.norm(e))
+            got = worst_case_search(tri, src, f, delta, a, seed=i)
+            assert got >= np.linalg.norm(apply(tri, f, a) - y) * (1.0 - 1e-9), (p, delta)
+
+
+def _project_source_reference(z, c, k_sq):
+    """The source projection in the weights c = s^-2p: z / (1 + mu c)."""
+    z = z.copy()
+    cz2 = c * z * z
+    over = ~(cz2.sum(axis=1) <= k_sq)
+    if over.any():
+        mu = linreg._shrink_root(cz2[over], c, k_sq)
+        z[over] = z[over] / (1.0 + mu[:, None] * c)
+    return z
+
+
+def _project_data_reference(z, sigma, s, g, delta_sq):
+    """The data projection with g and delta^2 copied per row:
+    (z + nu sigma g) / (1 + nu s)."""
+    g = np.broadcast_to(g, z.shape)
+    delta_sq = np.full(len(z), delta_sq)
+    z = z.copy()
+    r2 = np.square(sigma * z - g)
+    over = ~(r2.sum(axis=1) <= delta_sq)
+    if over.any():
+        nu = linreg._shrink_root(r2[over], s, delta_sq[over])[:, None]
+        z[over] = (z[over] + nu * sigma * g[over]) / (1.0 + nu * s)
+    return z
+
+
+class TestProject:
+    # Rows at these multiples of the radius from the centre b / a.
+    FACTORS = [0.3, 0.99, 1.0 - 1e-9, 1.01, 2.0, 10.0, 1e3, 1e6]
+
+    def _sets(self, kind, p):
+        m, tri = make_problem(ProblemSpec(kind, 64, seed=3))
+        src, delta = SourceSpec(p, 1.0), 1e-2
+        y = sample_source_set(tri, src, 1, seed=0)[0]
+        e = rng_from(9).standard_normal(64)
+        f = m @ y + e * (delta / np.linalg.norm(e))
+        search = linreg._prepare(tri, src, f, delta, choose_a(delta, src), 4, seed=0)
+        return tri, search.sets
+
+    def _rows(self, e, seed):
+        u = rng_from(seed).standard_normal((len(self.FACTORS), e.a.size))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        return (e.b + np.array(self.FACTORS)[:, None] * np.sqrt(e.r_sq) * u) / e.a
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("kind", ["volterra", "rotated-diagonal"])
+    def test_inside_rows_stay_and_outside_rows_land_on_it(self, kind, p):
+        for i, e in enumerate(self._sets(kind, p)[1]):
+            z = self._rows(e, i)
+            got = linreg._project(z.copy(), e)
+            inside = np.square(e.a * z - e.b).sum(axis=1) <= e.r_sq
+            assert inside.any() and not inside.all()
+            assert np.array_equal(got[inside], z[inside])
+            level = np.square(e.a * got[~inside] - e.b).sum(axis=1)
+            assert np.all(np.abs(level - e.r_sq) <= 1e-12 * e.r_sq)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("kind", ["volterra", "rotated-diagonal"])
+    def test_matches_the_per_ellipsoid_formulas(self, kind, p):
+        tri, (source, data) = self._sets(kind, p)
+        s = tri.s[tri.sigma > 0.0]
+        z = self._rows(data, 1)
+        want = _project_data_reference(z, data.a, s, data.b, data.r_sq)
+        assert np.array_equal(linreg._project(z.copy(), data), want)
+        z = self._rows(source, 0)
+        want = _project_source_reference(z, s ** (-2.0 * p), source.r_sq)
+        assert np.all(np.abs(linreg._project(z.copy(), source) - want) <= 1e-14 * np.abs(want))
 
 
 def _shrink_root_reference(r2, w, bound_sq):
