@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, its six input checks, and the
-one tolerance factor of its bound checks and pass rule (``Bracket``).
+one tolerance factor of the pass rule (``Bracket``) and of linreg's and
+varreg's bound checks; numdiff's admissibility gate has none.
 
 Each input rule has one definition: ``positive_finite`` (0 < x < inf),
 ``within`` (an interval), ``count`` (an integer >= 1; a sequence is
@@ -13,8 +14,9 @@ import numpy as np
 
 # A value passes a bound check when it is at most bound * BOUND_TOL: the
 # factor absorbs float round-off on boundary members without accepting
-# genuinely out-of-class candidates.  The admissibility and pass tests of
-# all three constructions scale their bounds by it.
+# genuinely out-of-class candidates.  Bracket's pass rule, linreg's search
+# (_feasible, source_membership, _prepare's refusal) and varreg's
+# acceptance test scale their bounds by it; numdiff.membership does not.
 BOUND_TOL = 1.0 + 1e-9
 
 

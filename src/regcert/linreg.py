@@ -32,10 +32,6 @@ from .spectral import ProblemSpec, Spectrum, SvdTriple, _filter, _norms, make_pr
 # genuine component outside the source set.
 NULL_COEF_TOL = 1e-14
 
-# Starts per worst_case_search, read at the call.
-RESTARTS = 4
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """Source-set parameters: order p in (0, 1) and finite radius k_p > 0."""
@@ -493,7 +489,7 @@ def worst_case_search(
     f_delta: np.ndarray,
     delta: float,
     a: float,
-    restarts: int | None = None,
+    restarts: int = 4,
     seed: int = 0,
 ) -> float:
     """Lower estimate of sup ||r - y|| over admissible y.
@@ -503,13 +499,11 @@ def worst_case_search(
     gradient ascent, with the restarts run together as the rows of one
     array (see _ascend); at n = 1 the feasible set is an interval and the
     distance to rho, convex along it, peaks at one of its ends, so the
-    result is exact there.  With ``restarts`` None it runs RESTARTS starts,
-    read at the call.  The search is bounded above by the class-wide worst
-    case that ``certify`` reports as its lower bound.  Raises
+    result is exact there.  The search is bounded above by the class-wide
+    worst case that ``certify`` reports as its lower bound.  Raises
     InfeasibleError when no y satisfies both constraints.
     """
-    restarts = RESTARTS if restarts is None else _count(restarts, "restarts")
-    search = _prepare(svd, source, f_delta, delta, a, restarts, seed)
+    search = _prepare(svd, source, f_delta, delta, a, _count(restarts, "restarts"), seed)
     if isinstance(search, float):
         return search
     return _ascend(search)

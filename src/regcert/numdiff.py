@@ -9,7 +9,9 @@ explicit noise + bias budget and from below by admissible solutions:
 solution under a two-node noise spike that the regularizer turns into noise
 and bias of one sign at node 0, and adversarial bump witnesses are two
 admissible solutions sharing the same data, whose separation no method can
-resolve.
+resolve.  ``membership`` is the one admissibility gate: a solution counts
+only if its residual and norm, as computed, are within delta and m_a, with
+no tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    BOUND_TOL,
     Bracket,
     EmptyAdmissibleSetError,
     RegcertError,
@@ -199,12 +200,13 @@ def membership(v: SampledFunction, data: NoisyData, spec: HolderSpec) -> Members
     """Is v an admissible solution for (f_delta, delta, class)?
 
     residual = sup |cumulative integral of v - f_delta|, norm = grid
-    smoothness norm; both must sit within their bounds up to the factor
-    BOUND_TOL = 1 + 1e-9.
+    smoothness norm; v is admissible when both, as computed, are within
+    delta and m_a, with no tolerance.  This is numdiff's one admissibility
+    gate.
     """
     residual = sup_distance(integrate_volterra(v), data.f_delta)
     norm = holder_norm(v, spec.a)
-    ok = residual <= data.delta * BOUND_TOL and norm <= spec.m_a * BOUND_TOL
+    ok = residual <= data.delta and norm <= spec.m_a
     return Membership(bool(ok), residual, norm)
 
 
@@ -236,12 +238,15 @@ def _bump_norm_constant(a: float) -> float:
 def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> WitnessPair:
     """Adversarial pair v0 +/- psi around the zero solution.
 
-    psi is a smooth compactly supported bump scaled so that its class norm
-    stays within m_a / 2 and its integral stays within delta; both members
-    are therefore admissible for the shared data f_delta = 0, and any
-    reconstruction errs by at least half their separation on one of them.
-    The amplitude scales like delta**(a/(a+1)); at a = 0 it is independent
-    of delta, the signature of a class too large to regularize.
+    psi is a smooth compactly supported bump whose class norm is within
+    m_a / 2 and integral within delta, times 1 - 1e-12 against round-off
+    (~650 times its largest overshoot seen), so both members are admissible
+    for the shared data f_delta = 0: ``membership`` checks v_plus, and
+    v_minus = -v_plus has the same residual and norm bit for bit, IEEE
+    rounding being sign-symmetric.  Any reconstruction errs by at least half
+    their separation on one of them.  The amplitude scales like
+    delta**(a/(a+1)); at a = 0 it is independent of delta, the signature of
+    a class too large to regularize.
     """
     positive_finite(delta, "noise radius")
     within(center, 0, 1, "bump center", ends="()")
@@ -261,18 +266,17 @@ def witness_pair(delta: float, spec: HolderSpec, center: float, grid: Grid) -> W
     profile = SampledFunction(grid, _bump_samples(grid, center, w))
     norm_unit = holder_norm(profile, spec.a)
     resid_unit = float(np.max(np.abs(integrate_volterra(profile).values)))
-    amplitude = min(spec.m_a / (2.0 * norm_unit), delta / resid_unit)
+    amplitude = (1.0 - 1e-12) * min(spec.m_a / (2.0 * norm_unit), delta / resid_unit)
     psi = amplitude * profile.values
     v_plus = SampledFunction(grid, psi)
     v_minus = SampledFunction(grid, -psi)
     data = NoisyData(SampledFunction(grid, np.zeros(grid.n)), delta)
-    for v in (v_plus, v_minus):
-        got = membership(v, data, spec)
-        if not got.ok:
-            raise ResolutionError(
-                f"witness construction failed admissibility: residual={got.residual:.3g} "
-                f"(delta={delta:.3g}), norm={got.norm:.3g} (bound={spec.m_a:.3g})"
-            )
+    got = membership(v_plus, data, spec)
+    if not got.ok:
+        raise ResolutionError(
+            f"witness construction failed admissibility: residual={got.residual:.3g} "
+            f"(delta={delta:.3g}), norm={got.norm:.3g} (bound={spec.m_a:.3g})"
+        )
     return WitnessPair(
         v_plus=v_plus,
         v_minus=v_minus,
@@ -307,8 +311,8 @@ def member_candidates(
         return []
     grid = base.grid
     out = [base]
-    res_slack = data.delta * BOUND_TOL - got.residual
-    norm_slack = spec.m_a * BOUND_TOL - got.norm
+    res_slack = data.delta - got.residual
+    norm_slack = spec.m_a - got.norm
     if res_slack <= 0.0 or norm_slack <= 0.0:
         return out
     for k in range(n_samples):
@@ -374,9 +378,9 @@ def _worst_case(
     elsewhere: m is the snapped step in nodes, k the one-sided step of
     ``boundary``'s stencil and s = ``noise_shrink``.  At node 0 the
     one-sided quotient then reads the noise 2 s delta/(k h) and the bias
-    c k h / 2 with one sign.  The pair counts only if the residual is within
-    delta and the norm within m_a as computed, with no tolerance; otherwise
-    RegcertError is raised.
+    c k h / 2 with one sign.  The pair counts only if it passes
+    ``membership``, whose gate has no tolerance; otherwise RegcertError is
+    raised.
     """
     v, f = slope
     k, m, _ = _one_sided_step(delta, spec, v.grid, boundary)
@@ -384,18 +388,11 @@ def _worst_case(
     e = np.zeros(v.grid.n)
     e[0], e[k * m] = -s * delta, s * delta
     data = NoisyData(SampledFunction(v.grid, f.values + e), delta)
-    return _witness_error(v, data, spec, boundary)
-
-
-def _witness_error(v: SampledFunction, data: NoisyData, spec: HolderSpec, boundary: str) -> float:
-    """Sup distance from the regularized derivative of ``data`` to v, once
-    v's residual and norm, as ``membership`` computes them, sit within delta
-    and m_a with no tolerance; RegcertError otherwise."""
     got = membership(v, data, spec)
-    if not (got.residual <= data.delta and got.norm <= spec.m_a):
+    if not got.ok:
         raise RegcertError(
             f"the worst-case witness failed its admissibility check: residual={got.residual!r} "
-            f"(delta={data.delta!r}), norm={got.norm!r} (bound={spec.m_a!r})"
+            f"(delta={delta!r}), norm={got.norm!r} (bound={spec.m_a!r})"
         )
     return sup_distance(differentiate(data, spec, boundary), v)
 
@@ -411,12 +408,15 @@ def certify(
     Per delta the upper bound is the budget total, and the lower bound the
     error on the checked class-wide witness of ``_worst_case``, which needs
     no truth and no data; its delta-independent half (``_slope``) is built
-    once per call.  Every count, the stencil and every delta
-    (through its budget) are checked before any norm is computed.
+    once per call.  Every count, the stencil and every delta (through its
+    budget and its one-sided step, which must fit the grid) are checked
+    before any norm is computed.
     """
     count(len(deltas), "number of deltas")
     choice(boundary, BOUNDARY_STENCILS, "boundary stencil")
     budgets = [error_budget(delta, spec, grid) for delta in deltas]
+    for delta in deltas:
+        _one_sided_step(delta, spec, grid, boundary)
     slope = _slope(grid, spec)
     return [
         Certificate(

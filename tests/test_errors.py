@@ -34,6 +34,7 @@ from regcert.errors import (
     InvalidMatrixError,
     InvalidParameterError,
     InvalidSourceError,
+    StepTooLargeError,
 )
 
 N = 3
@@ -161,11 +162,13 @@ def test_linear_certify_checks_every_delta_before_factorizing(monkeypatch):
 
 def test_diff_certify_checks_every_delta_before_any_membership(monkeypatch):
     # Neither the witness's gate nor the norm that scales it runs before the
-    # last delta is checked.
+    # last delta, its value and its stencil's fit, is checked.
     calls = _recording(numdiff, "membership", monkeypatch)
     norms = _recording(numdiff, "holder_norm", monkeypatch)
     with pytest.raises(InvalidParameterError, match="got nan"):
         numdiff.certify(Grid(257), _SPEC, [1e-2, np.nan])
+    with pytest.raises(StepTooLargeError, match="one-sided step"):
+        numdiff.certify(Grid(257), _SPEC, [1e-3, 0.5])
     assert calls == [] and norms == []
 
 

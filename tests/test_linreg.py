@@ -780,11 +780,10 @@ class TestCertify:
         (ProblemSpec("volterra", 64), 16),
         (ProblemSpec("rotated-diagonal", 64, q=1.0, seed=4), 16),
     ], ids=["volterra", "rotated-diagonal", "volterra-restarts16", "rotated-diagonal-restarts16"])
-    def test_lower_bound_dominates_the_search(self, problem, restarts, monkeypatch):
+    def test_lower_bound_dominates_the_search(self, problem, restarts):
         # Data f_delta = U (sigma * c) + e from a seeded boundary member c
         # and noise e = delta * u_{j*}: the worst case for these data is one
         # of those the class-wide worst case bounds.
-        monkeypatch.setattr(linreg, "RESTARTS", restarts)
         src, delta, seed = SourceSpec(0.5, 1.0), 1e-3, 11
         tri = spectral.factors(problem)
         a = choose_a(delta, src)
@@ -792,7 +791,8 @@ class TestCertify:
         c = linreg._boundary_coef(tri, src, rng_from(int(rng.integers(0, 2**63)), 0))
         e = delta * tri.u[:, np.argmax(tri.sigma / (tri.s + a))]
         f_delta = tri.u @ (tri.sigma * c) + e
-        got = worst_case_search(tri, src, f_delta, delta, a, seed=int(rng.integers(0, 2**63)))
+        got = worst_case_search(tri, src, f_delta, delta, a, restarts=restarts,
+                                seed=int(rng.integers(0, 2**63)))
         assert 0.0 < got <= certify(problem, src, [delta])[0].empirical_lower
 
     def test_empirical_slope_tracks_rate(self):

@@ -322,6 +322,24 @@ class TestWitnessPair:
         with pytest.raises(InvalidParameterError):
             witness_pair(1e-3, HolderSpec(2.0, 1.0), 1.5, g)
 
+    # Every witness cell of the benchmark's diff-sweep, the README, the CLI
+    # tests and criterion 3's a = 0 sweep: (n, a, M, deltas).
+    @pytest.mark.parametrize("n, a, m, deltas", [
+        (2049, 1.5, 1.0, cli.parse_deltas("1e-6:1e-3:log7")),
+        (2049, 2.0, 1.0, cli.parse_deltas("1e-6:1e-3:log7")),
+        (257, 2.0, 1.0, [1e-3]),
+        (1025, 2.0, 1.0, cli.parse_deltas("1e-5:1e-3:log3")),
+        (500001, 0.0, 3.0, [float(d) for d in np.logspace(-5, -2, 7)]),
+    ], ids=["diff-sweep", "readme", "cli-257", "cli-1025", "criterion-3-a0"])
+    def test_members_pass_the_strict_gate(self, n, a, m, deltas):
+        g, spec = Grid(n), HolderSpec(a, m)
+        for delta in deltas:
+            wp = witness_pair(delta, spec, 0.5, g)
+            data = NoisyData(wp.f_delta, delta)
+            got = membership(wp.v_plus, data, spec)
+            assert got.ok and got.residual <= delta and got.norm <= m
+            assert membership(wp.v_minus, data, spec) == got
+
 
 class TestEmpiricalSupError:
     def test_restricted_to_truth(self):
@@ -540,31 +558,33 @@ class TestWorstCase:
         (1025, 1.5, 1e-3, "sound"), (4097, 2.0, 1e-2, "paper"), (257, 1.2, 1e-4, "sound"),
         (65, 1.5, 1e-3, "paper"),
     ])
-    def test_check_refuses_1e_12_over_either_bound(self, n, a, delta, boundary):
+    def test_check_refuses_1e_12_over_either_bound(self, n, a, delta, boundary, monkeypatch):
         grid, spec = Grid(n), HolderSpec(a, 1.0)
         v, f, e = _rebuilt_witness(grid, spec, delta, boundary)
         data = NoisyData(SampledFunction(grid, f + e), delta)
         got = numdiff._worst_case(numdiff._slope(grid, spec), spec, delta, boundary)
         assert got == sup_distance(differentiate(data, spec, boundary), v)
 
-        # v* scaled to 1 + 1e-12 over the norm bound: the tolerant gate
-        # admits it, the witness check does not.
+        # v* scaled to 1 + 1e-12 over the norm bound, inside BOUND_TOL, goes
+        # in as the slope: membership and the witness refuse it.
         over = SampledFunction(grid, v.values * ((1.0 + 1e-12) * spec.m_a / holder_norm(v, a)))
-        data = NoisyData(SampledFunction(grid, integrate_volterra(over).values + e), delta)
+        slope = (over, integrate_volterra(over))
+        data = NoisyData(SampledFunction(grid, slope[1].values + e), delta)
         got = membership(over, data, spec)
-        assert got.ok and got.residual <= delta
+        assert not got.ok and got.residual <= delta
         assert spec.m_a < got.norm <= spec.m_a * BOUND_TOL
         with pytest.raises(RegcertError, match="admissibility check"):
-            numdiff._witness_error(over, data, spec, boundary)
+            numdiff._worst_case(slope, spec, delta, boundary)
 
-        # e* at 1 + 1e-12 times delta.
+        # e* at 1 + 1e-12 times delta, through the noise shrink.
         wide = e * ((1.0 + 1e-12) * delta / np.max(np.abs(e)))
         data = NoisyData(SampledFunction(grid, f + wide), delta)
         got = membership(v, data, spec)
-        assert got.ok and got.norm <= spec.m_a
+        assert not got.ok and got.norm <= spec.m_a
         assert delta < got.residual <= delta * BOUND_TOL
+        monkeypatch.setattr(numdiff, "noise_shrink", lambda f, delta: 1.0 + 1e-12)
         with pytest.raises(RegcertError, match="admissibility check"):
-            numdiff._witness_error(v, data, spec, boundary)
+            numdiff._worst_case(numdiff._slope(grid, spec), spec, delta, boundary)
 
     @pytest.mark.parametrize("boundary", ["sound", "paper"])
     @pytest.mark.parametrize("a", [1.5, 2.0])
