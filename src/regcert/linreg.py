@@ -229,8 +229,8 @@ def _worst_case(svd: Spectrum, source: SourceSpec, delta: float, a: float):
 # Every routine below acts on an (R, n) array of rows, one row per restart
 # of the search.  A row's result never depends on its neighbours: a row sum
 # of a C-contiguous array is the same pairwise sum whatever the other rows
-# hold, and each loop drops a row from its working arrays as soon as the row
-# meets its own stopping test.
+# hold.  Rows stay in place in their full arrays, and each loop skips a row
+# once the row meets its own stopping test.
 
 
 def _secular_start(r2: np.ndarray, w: np.ndarray, bound_sq: np.ndarray) -> np.ndarray:
@@ -249,31 +249,27 @@ def _shrink_root(r2: np.ndarray, w: np.ndarray, bound_sq) -> np.ndarray:
     r2 is (R, n), w is (n,) and bound_sq a scalar or (R,).  Newton runs on
     the reciprocal form phi^(-1/2) = bound_sq^(-1/2) (More & Sorensen 1983),
     which is concave and increasing in mu, so from _secular_start, left of
-    the root, it rises monotonically to it.  A zero bound (root at infinity)
-    keeps the capped start.
+    the root, it rises monotonically to it.  A row keeps its mu from the
+    step at which it meets its stopping test; a zero bound (root at
+    infinity) keeps the capped start.
     """
-    rows = r2.shape[0]
-    bound_sq = np.broadcast_to(np.asarray(bound_sq, dtype=float), (rows,))
+    bound_sq = np.broadcast_to(np.asarray(bound_sq, dtype=float), r2.shape[:1])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mu = _secular_start(r2, w, bound_sq)
-        live, r2_l, b_l = np.arange(rows), r2, bound_sq
-        mu_l, wr2 = mu.copy(), w * r2
+        mu, wr2 = _secular_start(r2, w, bound_sq), w * r2
+        go = np.ones(len(mu), dtype=bool)
         for _ in range(40):
-            denom = 1.0 + mu_l[:, None] * w
+            denom = 1.0 + mu[:, None] * w
             d2 = denom * denom
-            phi = (r2_l / d2).sum(axis=1)
+            phi = (r2 / d2).sum(axis=1)
             slope = -2.0 * (wr2 / (d2 * denom)).sum(axis=1)
-            mu_new = mu_l - 2.0 * (phi / slope) * (np.sqrt(phi / b_l) - 1.0)
+            mu_new = mu - 2.0 * (phi / slope) * (np.sqrt(phi / bound_sq) - 1.0)
             # A zero bound, or a zero slope where (1 + mu w)^3 overflowed,
             # gives a non-finite step, which stops the row where it is.
-            val = phi - b_l
-            go = ~(val <= b_l * 1e-13) & np.isfinite(mu_new) & ~(mu_new <= mu_l * (1.0 + 1e-15))
-            mu[live[go]] = mu_new[go]
-            if not go.all():
-                if not go.any():
-                    break
-                live, r2_l, b_l, wr2 = live[go], r2_l[go], b_l[go], wr2[go]
-            mu_l = mu_new[go]
+            go &= (~(phi - bound_sq <= bound_sq * 1e-13) & np.isfinite(mu_new)
+                   & ~(mu_new <= mu * (1.0 + 1e-15)))
+            if not go.any():
+                break
+            mu = np.where(go, mu_new, mu)
     return mu
 
 
@@ -312,22 +308,17 @@ def _project_intersection(z0, sets, sweeps, tol):
     The projected rows are written into z0, which is returned.
     """
     live = np.flatnonzero(~_feasible(z0, sets, tol=1.0))
-    z = z0[live]
-    p, q = np.zeros_like(z), np.zeros_like(z)
+    p, q = np.zeros_like(z0), np.zeros_like(z0)
     for _ in range(sweeps):
         if not live.size:
             break
-        y = _project(z + p, sets[0])
-        p += z - y
-        z_new = _project(y + q, sets[1])
-        q += y - z_new
-        done = np.max(np.abs(z_new - z), axis=1) < tol
-        z = z_new
-        if done.any():
-            z0[live[done]] = z[done]
-            keep = ~done
-            live, z, p, q = live[keep], z[keep], p[keep], q[keep]
-    z0[live] = z
+        z = z0[live]
+        y = _project(z + p[live], sets[0])
+        p[live] += z - y
+        z_new = _project(y + q[live], sets[1])
+        q[live] += y - z_new
+        z0[live] = z_new
+        live = live[~(np.max(np.abs(z_new - z), axis=1) < tol)]
     return z0
 
 
@@ -443,29 +434,23 @@ def _ascend(search: _Search) -> float:
     # Every start but the anchor (row 0) is projected.
     z[1:] = _project_intersection(z[1:], sets, 3, 1e-8)
 
-    live = np.arange(len(z))
-    zl = z.copy()
-    val = _norms(zl - rho)
+    val = _norms(z - rho)
     step = np.full(len(z), 0.5)
     for _ in range(30):
-        d = zl - rho
+        live = np.flatnonzero(step >= 1e-9)
+        if not live.size:
+            break
+        d = z[live] - rho
         nd = _norms(d)
         for i in np.flatnonzero(nd < 1e-15 * scale):
             d[i] = search.rng.standard_normal(rho.size)
             nd[i] = np.linalg.norm(d[i])
-        cand = _project_intersection(zl + ((step * scale) / nd)[:, None] * d, sets, 3, 1e-8)
+        cand = _project_intersection(
+            z[live] + ((step[live] * scale) / nd)[:, None] * d, sets, 3, 1e-8)
         v = _norms(cand - rho)
-        up = v > val * (1.0 + 1e-14)
-        zl[up], val[up] = cand[up], v[up]
-        step = np.where(up, step * 1.4, step * 0.4)
-        done = step < 1e-9
-        if done.any():
-            z[live[done]] = zl[done]
-            keep = ~done
-            live, zl, val, step = live[keep], zl[keep], val[keep], step[keep]
-            if not live.size:
-                break
-    z[live] = zl
+        up = v > val[live] * (1.0 + 1e-14)
+        z[live[up]], val[live[up]] = cand[up], v[up]
+        step[live] *= np.where(up, 1.4, 0.4)
 
     z = _project_intersection(z, sets, 30, 1e-12)
     # Soundness: only count a point if it is feasible (shrink toward the

@@ -189,6 +189,15 @@ class TestExitCodes:
             assert run([*base, "--config", str(path)]) == 1
             assert any(phrase in rec.message for rec in caplog.records)
 
+    def test_config_file_empty_delta_list_exit_one(self, tmp_path, caplog):
+        path = tmp_path / "empty.json"
+        path.write_text('{"deltas": []}')
+        argv = ["witness", "--n", "257", "--a", "2", "--m", "1", "--config", str(path)]
+        with pytest.raises(UsageError, match="empty delta list"):
+            resolve_config(argv)
+        assert run(argv) == 1
+        assert any("empty delta list" in rec.message for rec in caplog.records)
+
     def test_dashed_config_key_named_as_written(self, tmp_path):
         path = tmp_path / "dashed.json"
         path.write_text('{"bad-key": 1}')
@@ -207,6 +216,14 @@ class TestExitCodes:
         assert code == 1
         assert not out.exists()
         assert any("not the uniform grid" in rec.message for rec in caplog.records)
+
+    def test_differentiate_wrong_header_exit_one(self, tmp_path, caplog):
+        path = tmp_path / "noisy.csv"
+        path.write_text("x,y\n0.0,0.0\n0.5,0.25\n1.0,1.0\n")
+        code = run(["differentiate", "--a", "2", "--m", "1", "--delta", "1e-3",
+                    "--input", str(path)])
+        assert code == 1
+        assert any("expected header 'x,value'" in rec.message for rec in caplog.records)
 
     def test_differentiate_malformed_input_exit_one(self, tmp_path, caplog):
         path = tmp_path / "noisy.csv"
@@ -406,8 +423,9 @@ def test_non_finite_noise_radius_exit_one(sub, value, capsys, caplog):
                for rec in caplog.records)
 
 
-# Class radii and decay exponents must be finite and counts at least 1:
-# each argv with the words its logged message must hold, naming the parameter.
+# Class radii and decay exponents must be finite and counts at least 1, a
+# subcommand must be named and a volterra problem have n >= 3: each argv with
+# the words its logged message must hold.
 _LINEAR = ["certify-linear", "--problem", "diagonal", "--n", "8", "--p", "0.5",
            "--trials", "1", "--deltas", "1e-3"]
 _BAD_PARAMETER_ARGV = {
@@ -438,6 +456,10 @@ _BAD_PARAMETER_ARGV = {
                        "sweep endpoint must be positive and finite, got inf"),
     "sweep-start-nan": (_LINEAR + ["--k", "1", "--deltas", "nan:1e-1:log2"],
                         "sweep endpoint must be positive and finite, got nan"),
+    "missing-subcommand": ([], "missing subcommand"),
+    "certify-linear-volterra-n-2": (["certify-linear", "--problem", "volterra", "--n", "2",
+                                     "--p", "0.5", "--k", "1", "--deltas", "1e-3"],
+                                    "volterra problem needs n >= 3"),
 }
 
 

@@ -293,6 +293,16 @@ class TestWorstCaseSearch:
         with pytest.raises(InfeasibleError):
             worst_case_search(tri, SourceSpec(0.5, 1e-6), np.array([5.0]), 1e-3, 0.01)
 
+    def test_null_space_content_beyond_delta_is_infeasible(self):
+        # The volterra matrix has a zero first row, so f[0] lies on an exact
+        # null mode of A^T: no admissible y brings that residual below 2 delta.
+        _, tri = make_problem(ProblemSpec("volterra", 16))
+        delta = 1e-2
+        f = np.zeros(16)
+        f[0] = 2.0 * delta
+        with pytest.raises(InfeasibleError, match="more null-space content"):
+            worst_case_search(tri, SourceSpec(0.5, 1.0), f, delta, 1e-2)
+
     def test_feasible_value_is_sound(self, rng):
         # Returned value never exceeds the discrete J1 + J2 chain.
         src = SourceSpec(0.5, 1.0)
@@ -307,6 +317,30 @@ class TestWorstCaseSearch:
         j1 = delta * operator_norm(tri, a)
         j2 = bias_sup(tri, src, a)
         assert got <= j1 + j2 + 1e-9
+
+    # (kind, n, p, delta, restarts, seed, repr of the value): a rewrite of the
+    # search's row loops must leave every value bit for bit.
+    PINNED = [
+        ("volterra", 64, 0.5, 1e-2, 4, 0, "0.07182223222054664"),
+        ("volterra", 64, 0.25, 1e-1, 32, 1, "0.3559879204427224"),
+        ("diagonal", 6, 0.75, 1e-2, 32, 2, "0.0519332296560711"),
+        ("rotated-diagonal", 16, 0.5, 1e-4, 4, 3, "0.002379176661989047"),
+        ("rotated-diagonal", 16, 0.25, 1e-2, 32, 4, "0.14783298563152025"),
+        ("diagonal", 1, 0.5, 1e-1, 4, 5, "0.1736363636363636"),
+    ]
+
+    @pytest.mark.parametrize("kind, n, p, delta, restarts, seed, want", PINNED)
+    def test_pinned_values(self, kind, n, p, delta, restarts, seed, want):
+        # y = 0.9 times a source-set member and ||e|| = 0.9 delta, as in
+        # TestSearchFindsTheTruth.
+        m, tri = make_problem(ProblemSpec(kind, n, seed=2))
+        src = SourceSpec(p, 1.0)
+        y = 0.9 * sample_source_set(tri, src, 1, seed=seed)[0]
+        e = rng_from(n, seed).standard_normal(n)
+        f = m @ y + e * (0.9 * delta / np.linalg.norm(e))
+        got = worst_case_search(tri, src, f, delta, choose_a(delta, src),
+                                restarts=restarts, seed=seed)
+        assert repr(got) == want
 
     def test_soundness_shrink_halves_toward_anchor(self, monkeypatch):
         # The soundness check is forced to reject row 1 after the final

@@ -107,3 +107,21 @@ def test_every_module_loads_without_scipy():
     modules = {"regcert." + p.stem for p in (SRC / "regcert").glob("*.py")} - {"regcert.__init__"}
     assert modules <= set(loaded)
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-linear", "--problem", "diagonal", "--n", "4", "--p", "0.5", "--k", "1",
+     "--deltas", "1e-2"],
+    ["witness", "--n", "257", "--a", "1.5", "--m", "1", "--deltas", "1e-3"],
+    ["study", "--n", "3", "--deltas", "1e-2", "--budget", "5"],
+], ids=["certify-linear", "witness", "study"])
+def test_runs_without_config_load_no_json(argv):
+    # Only --config reads JSON, so only a run that passes it imports json.
+    assert "json" not in _cli_imports(argv)
+
+
+def test_config_run_loads_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"deltas": [1e-3]}')
+    assert "json" in _cli_imports(["witness", "--n", "257", "--a", "1.5", "--m", "1",
+                                   "--config", str(path)])

@@ -406,6 +406,10 @@ class TestMinimize:
         with pytest.raises(InvalidMatrixError):
             NonlinearProblem(b=np.eye(2), nonlinearity="tanh", phi_cap=1.0)
 
+    def test_non_square_b_refused(self):
+        with pytest.raises(InvalidMatrixError, match=r"B must be square, got shape \(2, 3\)"):
+            NonlinearProblem(b=np.ones((2, 3)), nonlinearity="identity", phi_cap=1.0)
+
 
 class TestConvergenceStudy:
     def test_cubic_gallery_sweep(self):
