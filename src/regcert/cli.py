@@ -14,7 +14,7 @@ import gc
 import logging
 import sys
 from dataclasses import astuple, dataclass, fields
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,22 +32,9 @@ from .function_space import (
 )
 from .seeding import rng_from
 
-if TYPE_CHECKING:
-    from . import varreg
-
 log = logging.getLogger("regcert")
 
 TRUTHS = ("quadratic", "sin2pi", "trig")
-
-
-@dataclass
-class RunConfig:
-    """Resolved parameters for one subcommand invocation."""
-
-    subcommand: str
-    params: dict
-    seed: int = 0
-    out: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +200,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def resolve_config(argv) -> RunConfig:
-    """Merge flags over config-file keys; refuse unknown keys and missing required ones."""
+def resolve_config(argv) -> tuple[str, dict]:
+    """The subcommand and its options, flags merged over config-file keys;
+    refuse unknown keys and missing required ones."""
     ns = _build_parser().parse_args(argv)
     if ns.subcommand is None:
         raise UsageError(f"missing subcommand; choose one of {tuple(OPTIONS)}")
@@ -251,9 +239,7 @@ def resolve_config(argv) -> RunConfig:
             params[opt.name] = opt.convert(raw)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {opt.name}: {exc}") from exc
-    seed = params.pop("seed")
-    out = params.pop("out", None)
-    return RunConfig(subcommand=ns.subcommand, params=params, seed=seed, out=out)
+    return ns.subcommand, params
 
 
 def _write_csv(header: str, rows, out: Optional[str]) -> None:
@@ -304,27 +290,25 @@ def make_truth(name: str, grid: Grid, spec: HolderSpec, seed: int = 0) -> Sample
 # Each imports the modules it calls, so a process loads only its own.
 
 
-def _run_differentiate(cfg: RunConfig) -> int:
+def _run_differentiate(p: dict) -> int:
     from . import numdiff
 
-    p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     if p.get("input"):
         data = NoisyData(read_function_csv(p["input"]), p["delta"])
     else:
         grid = Grid(p["n"])
-        truth = make_truth(p["truth"], grid, spec, cfg.seed)
-        data = add_noise(integrate_volterra(truth), p["delta"], p["model"], cfg.seed)
+        truth = make_truth(p["truth"], grid, spec, p["seed"])
+        data = add_noise(integrate_volterra(truth), p["delta"], p["model"], p["seed"])
     deriv = numdiff.differentiate(data, spec, p["boundary"])
     log.info("%s", numdiff.error_budget(p["delta"], spec, deriv.grid))
-    _write_csv("x,value", zip(deriv.grid.nodes.tolist(), deriv.values.tolist()), cfg.out)
+    _write_csv("x,value", zip(deriv.grid.nodes.tolist(), deriv.values.tolist()), p["out"])
     return 0
 
 
-def _run_certify_diff(cfg: RunConfig) -> int:
+def _run_certify_diff(p: dict) -> int:
     from . import numdiff
 
-    p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     grid = Grid(p["n"])
     # Unused, but checked in the order earlier releases checked them, so a
@@ -335,40 +319,29 @@ def _run_certify_diff(cfg: RunConfig) -> int:
     for model in p["models"]:
         choice(model, NOISE_MODELS, "noise model", InvalidModelError)
     certs = numdiff.certify(grid, spec, p["deltas"], p["boundary"])
-    return _write_certificates(certs, cfg.out)
+    return _write_certificates(certs, p["out"])
 
 
-def _run_witness(cfg: RunConfig) -> int:
+def _run_witness(p: dict) -> int:
     from . import numdiff
 
-    p = cfg.params
     spec = HolderSpec(a=p["a"], m_a=p["m"])
     grid = Grid(p["n"])
     pairs = [numdiff.witness_pair(d, spec, p["center"], grid) for d in p["deltas"]]
     _write_csv("delta,a,M,center,width,amplitude,separation",
                [(d, spec.a, spec.m_a, p["center"], w.bump_width, w.bump_amplitude, w.separation)
-                for d, w in zip(p["deltas"], pairs)], cfg.out)
+                for d, w in zip(p["deltas"], pairs)], p["out"])
     return 0
 
 
-def _run_certify_linear(cfg: RunConfig) -> int:
+def _run_certify_linear(p: dict) -> int:
     from . import linreg, spectral
 
-    p = cfg.params
-    problem = spectral.ProblemSpec(kind=p["problem"], n=p["n"], q=p["q"], seed=cfg.seed)
+    problem = spectral.ProblemSpec(kind=p["problem"], n=p["n"], q=p["q"], seed=p["seed"])
     source = linreg.SourceSpec(p=p["p"], k_p=p["k"])
     count(p["trials"], "trials")
     certs = linreg.certify(problem, source, p["deltas"], threads=p["threads"])
-    return _write_certificates(certs, cfg.out)
-
-
-def _make_var_problem(p: dict, seed: int) -> varreg.NonlinearProblem:
-    from . import varreg
-
-    return varreg.make_nonlinear_problem(
-        kind=p["matrix"], n=p["n"], nonlinearity=p["nonlinearity"],
-        phi_cap=p["cap"], q=p["q"], seed=seed,
-    )
+    return _write_certificates(certs, p["out"])
 
 
 def _seeded_truth_in_ball(n: int, cap: float, seed: int) -> np.ndarray:
@@ -377,34 +350,34 @@ def _seeded_truth_in_ball(n: int, cap: float, seed: int) -> np.ndarray:
     return 0.5 * np.sqrt(cap) * d / max(float(np.linalg.norm(d)), 1e-300)
 
 
-def _run_varmin(cfg: RunConfig) -> int:
+def _run_varmin(p: dict) -> int:
     from . import varreg
 
-    p = cfg.params
-    problem = _make_var_problem(p, cfg.seed)
-    u_true = _seeded_truth_in_ball(p["n"], p["cap"], cfg.seed)
-    noise = varreg.noise_at_radius(rng_from(cfg.seed, 137), p["n"], p["delta"])
+    problem = varreg.make_nonlinear_problem(kind=p["matrix"], n=p["n"], q=p["q"], seed=p["seed"],
+                                            nonlinearity=p["nonlinearity"], phi_cap=p["cap"])
+    u_true = _seeded_truth_in_ball(p["n"], p["cap"], p["seed"])
+    noise = varreg.noise_at_radius(rng_from(p["seed"], 137), p["n"], p["delta"])
     f_delta = problem.forward(u_true) + noise
-    report = varreg.minimize(problem, f_delta, p["delta"], budget=p["budget"], seed=cfg.seed)
+    report = varreg.minimize(problem, f_delta, p["delta"], budget=p["budget"], seed=p["seed"])
     # minimize returns only feasible points, and m_hat is F at that point.
     _write_csv("delta,F_value,m_hat,feasible,iterations,restarts",
                [(p["delta"], report.F_value, report.F_value, True, report.iterations,
-                 varreg.RESTARTS)], cfg.out)
+                 varreg.RESTARTS)], p["out"])
     return 0
 
 
-def _run_study(cfg: RunConfig) -> int:
+def _run_study(p: dict) -> int:
     from . import varreg
 
-    p = cfg.params
-    problem = _make_var_problem(p, cfg.seed)
-    u_true = _seeded_truth_in_ball(p["n"], p["cap"], cfg.seed)
+    problem = varreg.make_nonlinear_problem(kind=p["matrix"], n=p["n"], q=p["q"], seed=p["seed"],
+                                            nonlinearity=p["nonlinearity"], phi_cap=p["cap"])
+    u_true = _seeded_truth_in_ball(p["n"], p["cap"], p["seed"])
     deltas = sorted(p["deltas"], reverse=True)
-    rows = varreg.convergence_study(problem, u_true, deltas, budget=p["budget"], seed=cfg.seed)
+    rows = varreg.convergence_study(problem, u_true, deltas, budget=p["budget"], seed=p["seed"])
     # Every row comes from a minimize call, which returns only feasible points.
     _write_csv("delta,F_value,m_hat_bound_c1delta,error_to_truth,feasible",
                [(r.delta, r.F_value, r.c1_delta_bound, r.error_to_truth, True) for r in rows],
-               cfg.out)
+               p["out"])
     return 0
 
 
@@ -421,8 +394,8 @@ _HANDLERS = {
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
-        cfg = resolve_config(argv)
-        return _HANDLERS[cfg.subcommand](cfg)
+        subcommand, p = resolve_config(argv)
+        return _HANDLERS[subcommand](p)
     except UsageError as exc:
         log.error("usage error: %s", exc)
         return 1

@@ -90,10 +90,10 @@ class TestParsing:
                "deltas": [0.01], "trials": 2}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        resolved = resolve_config(["certify-linear", "--config", str(path)])
-        assert resolved.params["p"] == 0.5
-        resolved2 = resolve_config(["certify-linear", "--config", str(path), "--p", "0.25"])
-        assert resolved2.params["p"] == 0.25
+        _, resolved = resolve_config(["certify-linear", "--config", str(path)])
+        assert resolved["p"] == 0.5
+        _, resolved2 = resolve_config(["certify-linear", "--config", str(path), "--p", "0.25"])
+        assert resolved2["p"] == 0.25
 
     # Config-file numbers of the wrong kind: int() would truncate 8.9 to 8
     # and turn true into 1, float() true into 1.0.
@@ -123,10 +123,10 @@ class TestParsing:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"problem": "diagonal", "n": 8.0, "p": 0.5, "k": 1,
                                     "deltas": [0.01], "trials": 2, "seed": 3.0}))
-        resolved = resolve_config(["certify-linear", "--config", str(path)])
-        assert resolved.params["n"] == 8 and type(resolved.params["n"]) is int
-        assert resolved.params["k"] == 1.0 and type(resolved.params["k"]) is float
-        assert resolved.seed == 3 and type(resolved.seed) is int
+        _, resolved = resolve_config(["certify-linear", "--config", str(path)])
+        assert resolved["n"] == 8 and type(resolved["n"]) is int
+        assert resolved["k"] == 1.0 and type(resolved["k"]) is float
+        assert resolved["seed"] == 3 and type(resolved["seed"]) is int
 
 
 class TestExitCodes:

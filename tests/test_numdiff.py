@@ -493,8 +493,8 @@ class TestCertify:
         # any of the noise models.
         out = tmp_path / "certs.csv"
         assert cli.run(["certify-diff", *argv, "--out", str(out)]) == 0
-        cfg = cli.resolve_config(["certify-diff", *argv])
-        p, seed = cfg.params, cfg.seed
+        _, p = cli.resolve_config(["certify-diff", *argv])
+        seed = p["seed"]
         spec = HolderSpec(p["a"], p["m"])
         grid = Grid(p["n"])
         truth = cli.make_truth(p["truth"], grid, spec, seed)
