@@ -211,7 +211,9 @@ def _worst_case(svd: Spectrum, source: SourceSpec, delta: float, a: float):
     eta = shrink * delta * d2u / np.linalg.norm(d2u)
     if not (np.sum(s ** (-2.0 * source.p) * z * z) <= k * k and np.linalg.norm(eta) <= delta):
         raise RegcertError("the closed-form worst-case witness failed its admissibility check")
-    return float(np.linalg.norm(d2 * (sigma * z + eta) - z)), z, eta
+    # d2 (sigma z + eta) - z, with its bias part (d2 sigma - 1) z written as
+    # -a/(s + a) z: as a difference it nearly cancels when a << s.
+    return float(np.linalg.norm(d2 * eta - (a / (s + a)) * z)), z, eta
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
             "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.04976471048163167,"
-            "0.049764710481631655,0.1,0.09952942096325336,true\n"
+            "0.049764710481631655,0.1,0.09952942096325337,true\n"
             "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
             "0.015809865444111972,0.015809865444111972,0.03162277660168379,"
             "0.03161973088822079,true\n"
@@ -327,12 +327,12 @@ class TestExitCodes:
             "0.005000000000000001,0.004999999999999999,0.01,0.009999999999999,true\n"
             "0.001,0.0009999999999999998,0.5,1.0,0.0158113883008419,0.0158113883008419,"
             "0.015810276679841896,0.015810276679841893,0.03162277660168379,"
-            "0.031620553359680635,true\n"
+            "0.03162055335968063,true\n"
             "0.01,0.009999999999999998,0.5,1.0,0.05,0.05000000000000001,0.05,"
             "0.04999999999999999,0.1,0.09999999999998999,true\n"
             "0.1,0.09999999999999998,0.5,1.0,0.158113883008419,0.15811388300841897,"
             "0.15789473684210528,0.15789473684210525,0.31622776601683794,"
-            "0.315789473684179,true\n"
+            "0.3157894736841789,true\n"
         )
         assert run(["certify-linear", "--problem", "diagonal", "--n", "40", "--q", "1.5",
                     "--p", "0.25", "--k", "2", "--deltas", "1e-4:1e-1:log4", "--trials", "3",
@@ -341,13 +341,13 @@ class TestExitCodes:
             "delta,a,p,k,J1_cont,J2_cont,J1_disc,J2_disc,rate_bound,empirical_lower,pass\n"
             "0.0001,3.898690317617157e-06,0.25,2.0,0.02532273642408658,0.05064547284817318,"
             "0.0202464135156028,0.02510971777159043,0.07596820927225977,"
-            "0.04535613128718867,true\n"
+            "0.0453561312871887,true\n"
             "0.001,8.399473665965825e-05,0.25,2.0,0.05455618179858606,0.10911236359717218,"
             "0.054552962944511875,0.10911197659785024,0.16366854539575826,"
-            "0.1587712023065783,true\n"
+            "0.15877120230657826,true\n"
             "0.01,0.001809611744396605,0.25,2.0,0.11753773062255986,0.23507546124511983,"
             "0.11745220786432198,0.23503783580503781,0.35261319186767964,"
-            "0.3416225850336824,true\n"
+            "0.3416225850336825,true\n"
             "0.1,0.03898690317617155,0.25,2.0,0.25322736424086584,0.5064547284817318,"
             "0.25314406118671345,0.5047966104459581,0.7596820927225976,"
             "0.7336844402597712,true\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -629,6 +630,14 @@ _GALLERY = [ProblemSpec("volterra", 256), ProblemSpec("diagonal", 256, q=1.5),
             ProblemSpec("rotated-diagonal", 256, q=1.0, seed=4)]
 _CELLS = [(p, float(delta)) for p in (0.25, 0.5, 0.75) for delta in np.logspace(-6, -1, 6)]
 
+# The small-a grid of the exact witness-error checks: every source order and
+# radius pair at 12 noise levels from 1e-10 to 0.32.
+_PK = [(p, k) for p in (0.1, 0.25, 0.5, 0.75, 0.9) for k in (0.1, 1.0, 10.0)]
+_SMALL_TO_LARGE_DELTAS = np.logspace(-10, np.log10(0.32), 12).tolist()
+_BOUND_PROBLEMS = [*(ProblemSpec("volterra", n) for n in (3, 64, 1024)),
+                   *(ProblemSpec("diagonal", n) for n in (1, 3, 64, 1024))]
+_RATIONAL_PROBLEMS = [*(ProblemSpec("diagonal", n) for n in (1, 2, 3)), ProblemSpec("volterra", 3)]
+
 
 class TestWorstCase:
     def test_no_unit_vector_beats_it_at_n2(self, rng):
@@ -681,9 +690,35 @@ class TestWorstCase:
             assert np.sum(s ** (-2 * p) * z * z) <= 1.0
             assert np.linalg.norm(eta) <= delta
             # The error of the witness: R(A y + e) - y in V coordinates.
-            assert got == float(np.linalg.norm(sigma / (s + a) * (sigma * z + eta) - z))
+            assert got == float(np.linalg.norm(sigma / (s + a) * eta - a / (s + a) * z))
             assert got == pytest.approx(_all_pairs_worst_case(tri, src, delta, a), rel=1e-9)
             assert got <= delta * operator_norm(tri, a) + bias_sup(tri, src, a)
+
+    def test_lower_never_exceeds_the_discrete_upper(self):
+        # No slack: with the bias part of the witness's error formed as the
+        # difference (sigma^2/(s + a)) z - z, the lower bound exceeded
+        # J1_disc + J2_disc by up to 6e-6 relative in 247 of these cells.
+        for problem in _BOUND_PROBLEMS:
+            for p, k in _PK:
+                for c in certify(problem, SourceSpec(p, k), _SMALL_TO_LARGE_DELTAS):
+                    assert c.empirical_lower <= c.J1_disc + c.J2_disc, (problem, p, k, c.delta)
+
+    def test_error_matches_exact_rational_arithmetic(self):
+        # The witness's error (sigma/(sigma^2 + a)) (sigma z + eta) - z,
+        # evaluated exactly on the returned float witness and rounded once.
+        for problem in _RATIONAL_PROBLEMS:
+            sv = spectral.spectrum(problem)
+            sigma = [Fraction(x) for x in sv.sigma.tolist()]
+            for p, k in _PK:
+                src = SourceSpec(p, k)
+                for delta in _SMALL_TO_LARGE_DELTAS:
+                    a = choose_a(delta, src)
+                    got, z, eta = linreg._worst_case(sv, src, delta, a)
+                    fa = Fraction(a)
+                    exact = sum((si / (si * si + fa) * (si * Fraction(zi) + Fraction(ei))
+                                 - Fraction(zi)) ** 2
+                                for si, zi, ei in zip(sigma, z.tolist(), eta.tolist()))
+                    assert got == pytest.approx(float(exact) ** 0.5, rel=1e-15, abs=0.0)
 
 
 class TestCertify:
@@ -728,15 +763,15 @@ class TestCertify:
     PINNED = {
         "diagonal-24": (
             (ProblemSpec("diagonal", 24, q=1.5), SourceSpec(0.25, 1.0), [1e-2, 1e-4]),
-            [0.21503716884771057, 0.021378832216403493],
+            [0.21503716884771057, 0.021378832216403507],
         ),
         "volterra-64": (
             (ProblemSpec("volterra", 64), SourceSpec(0.5, 1.0), [1e-2, 1e-3, 1e-4]),
-            [0.0995648198479679, 0.03159346176642433, 0.009997107890095246],
+            [0.09956481984796792, 0.03159346176642433, 0.009997107890095247],
         ),
         "one-per-block": (
             (ProblemSpec("volterra", 64), SourceSpec(0.75, 1.0), [1e-3, 1e-1]),
-            [0.015812328802294433, 0.22796102328846918],
+            [0.015812328802294433, 0.22796102328846923],
         ),
     }
 
